@@ -148,7 +148,6 @@ func main() {
 	cacheSize := flag.Int("cache", 4096, "in-process analysis cache capacity")
 	maxInflight := flag.Int("max-inflight", 0, "in-process admission slots (0 disables admission control)")
 	maxQueue := flag.Int("max-queue", 0, "in-process admission queue watermark")
-	batchWindow := flag.Duration("batch-window", 0, "in-process micro-batch window (0 disables)")
 	// Chaos mode: an in-process fleet with a kill/restart fault schedule.
 	chaos := flag.Bool("chaos", false, "boot an in-process replica fleet, kill and restart one replica mid-load, and gate on the fault-tolerance contract (see chaos.go)")
 	chaosReplicas := flag.Int("chaos-replicas", 3, "fleet size for -chaos (>= 3)")
@@ -189,7 +188,7 @@ func main() {
 	var shutdown func()
 	if *inprocess {
 		var err error
-		target, shutdown, err = startInProcess(*scale, *epochs, *seed, *cacheSize, *maxInflight, *maxQueue, *batchWindow)
+		target, shutdown, err = startInProcess(*scale, *epochs, *seed, *cacheSize, *maxInflight, *maxQueue)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "graph2bench:", err)
 			os.Exit(1)
@@ -240,22 +239,19 @@ func main() {
 }
 
 // startInProcess trains a small engine and serves it on a loopback port.
-func startInProcess(scale float64, epochs int, seed uint64, cacheSize, maxInflight, maxQueue int, batchWindow time.Duration) (string, func(), error) {
+func startInProcess(scale float64, epochs int, seed uint64, cacheSize, maxInflight, maxQueue int) (string, func(), error) {
 	engine, err := graph2par.NewEngine(graph2par.EngineConfig{
 		TrainScale: scale, Epochs: epochs, Seed: seed, CacheSize: cacheSize, Quiet: true,
 	})
 	if err != nil {
 		return "", nil, err
 	}
-	s := serve.NewWithConfig(engine, serve.ServeConfig{
-		MaxInflight: maxInflight, MaxQueue: maxQueue, BatchWindow: batchWindow,
-	})
+	s := serve.NewWithConfig(engine, serve.ServeConfig{MaxInflight: maxInflight, MaxQueue: maxQueue})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", nil, err
 	}
 	srv := &http.Server{Handler: s.Handler()}
-	srv.RegisterOnShutdown(s.Close)
 	go func() { _ = srv.Serve(ln) }()
 	shutdown := func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

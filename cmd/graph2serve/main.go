@@ -6,13 +6,13 @@
 // Usage:
 //
 //	graph2serve [-addr :8080] [-model ckpt] [-scale 0.02] [-epochs 6]
-//	            [-workers N] [-cache 4096] [-batch 16] [-batch-window 2ms]
+//	            [-workers N] [-cache 4096] [-batch 16]
 //	            [-max-inflight N] [-max-queue N] [-rate R] [-burst B]
 //	            [-max-body BYTES] [-peers url,url] [-self url]
 //	            [-probe-interval 1s] [-replication 2] [-peer-retries 1]
 //	            [-breaker-threshold 5] [-breaker-cooldown 2s] [-negative-ttl 1s]
 //
-// Endpoints (v1 API; the unversioned spellings are deprecated aliases):
+// Endpoints (v1 API):
 //
 //	POST /v1/analyze        {"source": "...", "options": {"dot": false}, "deadline_ms": 0, "client_id": ""}
 //	POST /v1/analyze/batch  {"files": {"a.c": "...", "b.c": "..."}}
@@ -62,8 +62,6 @@ func main() {
 	trainWorkers := flag.Int("train-workers", 0, "data-parallel training workers for from-scratch training (0 = GOMAXPROCS); any value trains bit-identically")
 	cacheSize := flag.Int("cache", 4096, "analysis cache capacity in loop reports (0 disables)")
 	batchSize := flag.Int("batch", 0, "inference batch size: loops per HGT forward pass (0 = default, 1 disables)")
-	batchWindow := flag.Duration("batch-window", 0, "micro-batch window: coalesce concurrent /v1/analyze requests arriving within this duration into shared forward passes (0 disables)")
-	maxBatch := flag.Int("max-batch", 0, "max requests coalesced per micro-batch window (0 = default)")
 	maxBody := flag.Int64("max-body", 0, "max request-body bytes; larger bodies get 413 (0 = 16 MiB default)")
 	maxInflight := flag.Int("max-inflight", 0, "admission control: max concurrently processed API requests (0 disables)")
 	maxQueue := flag.Int("max-queue", 0, "admission queue watermark: requests waiting beyond this are shed with 429 (needs -max-inflight)")
@@ -104,8 +102,6 @@ func main() {
 	}
 
 	cfg := serve.ServeConfig{
-		BatchWindow: *batchWindow,
-		MaxBatch:    *maxBatch,
 		MaxBody:     *maxBody,
 		MaxInflight: *maxInflight,
 		MaxQueue:    *maxQueue,
@@ -147,22 +143,7 @@ func main() {
 		defer peerClient.Close()
 		engine.SetCacheFiller(peerClient.Fill)
 		engine.SetCacheWarmer(peerClient.Warm)
-		cfg.PeerStats = func() serve.PeerStats {
-			st := peerClient.Stats()
-			ps := serve.PeerStats{
-				Peers: st.Peers, Live: st.Live,
-				Hits: st.Hits, Misses: st.Misses, Errors: st.Errors,
-				NegativeHits: st.NegativeHits, BreakerSkips: st.BreakerSkips, Retries: st.Retries,
-				WarmsSent: st.WarmsSent, WarmErrors: st.WarmErrors, WarmDropped: st.WarmDropped,
-			}
-			for _, p := range st.PerPeer {
-				ps.Replicas = append(ps.Replicas, serve.PeerReplica{
-					Base: p.Base, State: p.State, Breaker: p.Breaker, Failures: p.Failures,
-					Hits: p.Hits, Misses: p.Misses, Errors: p.Errors, Warms: p.Warms,
-				})
-			}
-			return ps
-		}
+		cfg.PeerStats = peerClient.Stats
 		if *modelPath == "" {
 			fmt.Println("graph2serve: note: -peers without -model — peers only share cache entries when their fingerprints match (same -scale/-epochs/-seed, or a shared checkpoint)")
 		}
@@ -198,14 +179,8 @@ func main() {
 		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	// A graceful drain must answer requests parked in an open micro-batch
-	// window immediately, not after the window expires. Close (rather than
-	// the one-shot Flush) also downgrades requests that slip in after the
-	// flush to the direct engine path, so none can park in a new window
-	// that nothing would dispatch before the drain deadline.
-	srv.RegisterOnShutdown(server.Close)
-	fmt.Printf("graph2serve: listening on %s (workers=%d, batch=%d, cache=%d, batch-window=%s)\n",
-		*addr, engine.Workers(), engine.BatchSize(), *cacheSize, *batchWindow)
+	fmt.Printf("graph2serve: listening on %s (workers=%d, batch=%d, cache=%d)\n",
+		*addr, engine.Workers(), engine.BatchSize(), *cacheSize)
 	if err := serve.ListenAndServe(ctx, srv, 10*time.Second); err != nil {
 		fmt.Fprintln(os.Stderr, "graph2serve:", err)
 		os.Exit(1)

@@ -16,7 +16,7 @@
 //   - poolsafe: values checked out of the scratch pools never outlive
 //     their Put/Free;
 //   - lockdiscipline: no channel operations or blocking calls while a
-//     cache-shard or batcher mutex is held.
+//     cache-shard or serving-tier mutex is held.
 //
 // See directive.go for the //graph2lint: comment grammar that annotates
 // vetted exceptions.

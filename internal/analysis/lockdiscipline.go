@@ -9,11 +9,11 @@ import (
 )
 
 // LockDiscipline keeps the serving tier's critical sections non-blocking.
-// The cache shards and the request micro-batcher sit on every request's
-// path; a channel operation or sleep while holding one of their mutexes
-// turns a nanosecond critical section into one bounded by a peer
-// goroutine's progress — the batcher pattern (coalesce under the lock,
-// deliver results after releasing it) exists precisely to avoid that.
+// The cache shards and the serve package's rate limiter sit on every
+// request's path; a channel operation or sleep while holding one of their
+// mutexes turns a nanosecond critical section into one bounded by a peer
+// goroutine's progress. The pattern to follow is to update shared state
+// under the lock and to block or deliver only after releasing it.
 //
 // The walk is flow-aware within a function: Lock()/RLock() on a
 // sync.Mutex / sync.RWMutex adds the receiver to the held set, a
@@ -24,7 +24,7 @@ import (
 var LockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
 	Doc: "flags channel operations and blocking calls (time.Sleep, " +
-		"WaitGroup.Wait, mutex re-lock) while a cache-shard or batcher mutex is held",
+		"WaitGroup.Wait, mutex re-lock) while a cache-shard or serving-tier mutex is held",
 	Match: pathMatcher("internal/cache", "internal/serve"),
 	Run:   runLockDiscipline,
 }

@@ -74,8 +74,7 @@ var alwaysSafeFuncs = map[string]bool{
 	"(*sync.RWMutex).Unlock":  true,
 	"(*sync.RWMutex).RLock":   true,
 	"(*sync.RWMutex).RUnlock": true,
-	// Stopping a timer only unlinks it from the runtime's timer heap;
-	// the micro-batcher disarms its window timer on every dispatch.
+	// Stopping a timer only unlinks it from the runtime's timer heap.
 	"(*time.Timer).Stop": true,
 }
 

@@ -434,7 +434,7 @@ func (m *Model) Predict(enc *auggraph.Encoded) (int, []float64) {
 // bit-identical to calling Predict per graph — the batched forward only
 // amortizes per-graph op dispatch — so callers may freely mix batched and
 // single-graph inference (the invariant the engine's analysis cache and
-// the serving micro-batcher rely on). Graphs without typed edges take
+// its size-bucketed batching rely on). Graphs without typed edges take
 // Forward's structural fallback and are scored individually. Safe for
 // concurrent use, like Predict.
 func (m *Model) PredictBatch(encs []*auggraph.Encoded) ([]int, [][]float64) {

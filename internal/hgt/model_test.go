@@ -277,8 +277,9 @@ func TestPredictBatchHandlesEdgelessGraphs(t *testing.T) {
 }
 
 // TestPredictBatchDuplicateGraphs checks that the same encoding may appear
-// several times in one batch (the serving micro-batcher coalesces
-// identical concurrent requests) and each copy scores identically.
+// several times in one batch (two identical files analyzed in one engine
+// call put the same loop into one batch twice) and each copy scores
+// identically.
 func TestPredictBatchDuplicateGraphs(t *testing.T) {
 	v := auggraph.NewVocab()
 	enc := buildEncoded(t, "for (i = 0; i < n; i++) a[i] = b[i] + c[i];", v)

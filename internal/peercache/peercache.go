@@ -53,6 +53,7 @@ import (
 	"time"
 
 	"graph2par"
+	"graph2par/internal/serve"
 )
 
 // Defaults for the zero values of Config. They are deliberately tight:
@@ -576,37 +577,10 @@ func (c *Client) fetchOne(p *peer, key string) (graph2par.LoopReport, fetchStatu
 	return report, fetchHit
 }
 
-// PeerStatus is one peer's observable fault-tolerance state.
-type PeerStatus struct {
-	Base     string
-	State    string // health state machine: healthy/suspect/down/probing
-	Failures int    // consecutive probe/exchange failures
-	Breaker  string // closed/open/half-open
-	Hits     uint64
-	Misses   uint64
-	Errors   uint64
-	Warms    uint64 // warm pushes this replica delivered to the peer
-}
-
-// Stats is the client-side counter snapshot for /v1/stats.
-type Stats struct {
-	Peers        int // configured peers (self excluded)
-	Live         int // peers currently participating in ownership
-	Hits         uint64
-	Misses       uint64
-	Errors       uint64
-	NegativeHits uint64 // pulls suppressed by the negative-result TTL
-	BreakerSkips uint64 // candidate owners skipped on an open breaker
-	Retries      uint64 // pulls that fell through to a lower-ranked owner
-	WarmsSent    uint64
-	WarmErrors   uint64
-	WarmDropped  uint64 // warm pushes dropped on a full queue
-	PerPeer      []PeerStatus
-}
-
-// Stats snapshots every counter plus the per-peer health/breaker state.
-func (c *Client) Stats() Stats {
-	st := Stats{
+// Stats snapshots every counter plus the per-peer health/breaker state,
+// in the shape /v1/stats reports (serve.ServeConfig.PeerStats).
+func (c *Client) Stats() serve.PeerStats {
+	st := serve.PeerStats{
 		Peers:        len(c.peers),
 		Hits:         c.hits.Load(),
 		Misses:       c.misses.Load(),
@@ -623,7 +597,7 @@ func (c *Client) Stats() Stats {
 		if state == Healthy || state == Suspect {
 			st.Live++
 		}
-		st.PerPeer = append(st.PerPeer, PeerStatus{
+		st.Replicas = append(st.Replicas, serve.PeerReplica{
 			Base:     p.base,
 			State:    state.String(),
 			Failures: fails,

@@ -122,6 +122,10 @@ func TestSingleFlight(t *testing.T) {
 	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		requests.Add(1)
 		waiting.Wait() // park until every caller is committed to this key
+		// Each caller signals just before it calls Fill; give the last
+		// ones time to reach the single-flight map, or a caller that
+		// arrives after this exchange returns starts a second one.
+		time.Sleep(50 * time.Millisecond)
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(canned)
 	}))
@@ -287,7 +291,7 @@ func TestHealthStateMachine(t *testing.T) {
 	defer srv.Close()
 
 	c := newTestClient(t, Config{Self: "http://self.invalid:1", Peers: []string{srv.URL}})
-	state := func() string { return c.Stats().PerPeer[0].State }
+	state := func() string { return c.Stats().Replicas[0].State }
 
 	c.ProbeOnce()
 	if got := state(); got != "healthy" {
@@ -362,7 +366,7 @@ func TestBreakerTripAndRecover(t *testing.T) {
 
 	c.Fill(key)
 	c.Fill(key) // second consecutive 500: breaker trips
-	if got := c.Stats().PerPeer[0].Breaker; got != "open" {
+	if got := c.Stats().Replicas[0].Breaker; got != "open" {
 		t.Fatalf("after %d failures: breaker %q, want open", 2, got)
 	}
 	before := reqs.Load()
@@ -381,7 +385,7 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	if r, ok := c.Fill(key); !ok || r.Line != 9 {
 		t.Fatalf("half-open probe fill: ok=%v line=%d, want hit", ok, r.Line)
 	}
-	if got := c.Stats().PerPeer[0].Breaker; got != "closed" {
+	if got := c.Stats().Replicas[0].Breaker; got != "closed" {
 		t.Errorf("after successful probe: breaker %q, want closed", got)
 	}
 }
@@ -445,7 +449,7 @@ func TestWarmPush(t *testing.T) {
 			t.Errorf("warm arrived as %s, want POST", r.Method)
 		}
 		var p push
-		p.path, p.fp, p.ct = r.URL.Path, r.Header.Get(FingerprintHeader), r.Header.Get("Content-Type")
+		p.path, p.fp, p.ct = r.URL.Path, r.Header.Get(serve.FingerprintHeader), r.Header.Get("Content-Type")
 		json.NewDecoder(r.Body).Decode(&p.body)
 		mu.Lock()
 		pushes = append(pushes, p)
@@ -481,8 +485,8 @@ func TestWarmPush(t *testing.T) {
 		t.Errorf("push body line %d, want 5", p.body.Line)
 	}
 	st := c.Stats()
-	if st.WarmsSent != 1 || st.PerPeer[0].Warms != 1 {
-		t.Errorf("warmsSent=%d perPeer=%d, want 1/1", st.WarmsSent, st.PerPeer[0].Warms)
+	if st.WarmsSent != 1 || st.Replicas[0].Warms != 1 {
+		t.Errorf("warmsSent=%d replicas[0].warms=%d, want 1/1", st.WarmsSent, st.Replicas[0].Warms)
 	}
 
 	// No fingerprint → warming disabled entirely: Warm and Flush no-op.

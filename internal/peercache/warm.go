@@ -8,14 +8,8 @@ import (
 	"time"
 
 	"graph2par"
+	"graph2par/internal/serve"
 )
-
-// FingerprintHeader carries the pushing replica's model fingerprint on
-// warm pushes; the receiver rejects a push whose fingerprint differs
-// from its own, so a misconfigured fleet (mixed checkpoints) can never
-// cross-pollinate caches. It doubles as the protocol's authentication:
-// only a process that loaded the same weights can know the value.
-const FingerprintHeader = "X-Graph2Par-Fingerprint"
 
 // warmItem is one queued push. A nil-report item with done set is a
 // flush sentinel: the worker closes done when it reaches it, proving
@@ -129,7 +123,7 @@ func (c *Client) pushWarm(item warmItem) {
 			continue
 		}
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(FingerprintHeader, c.fingerprint)
+		req.Header.Set(serve.FingerprintHeader, c.fingerprint)
 		resp, err := c.http.Do(req)
 		if err != nil {
 			c.warmErrors.Add(1)

@@ -11,8 +11,9 @@ import (
 // errOverloaded is admission control's shed signal: the queue watermark
 // was exceeded, so the request is refused immediately (429 with a
 // Retry-After hint) instead of parking behind work the server cannot
-// absorb. Queue collapse — unbounded waiters piling up behind a backed-up
-// batcher — is exactly the failure mode this bound exists to prevent.
+// absorb. Queue collapse — unbounded waiters piling up behind saturated
+// processing slots — is exactly the failure mode this bound exists to
+// prevent.
 var errOverloaded = errors.New("serve: admission queue full")
 
 // admission is the bounded queue in front of the analysis pipeline: at

@@ -117,39 +117,70 @@ func TestRateLimiterPrune(t *testing.T) {
 	}
 }
 
-// parkedServer builds the deterministic overload fixture: micro-batching
-// with an hour-long window means an /analyze request parks while holding
-// its admission slot until Flush, so tests control exactly when slots
-// free.
-func parkedServer(t *testing.T, cfg ServeConfig) (*Server, *httptest.Server) {
+// parkedServer builds the deterministic overload fixture: the test itself
+// takes every admission slot (s.admission.admit), exactly as in-flight
+// requests would hold them, so /v1/analyze requests queue or shed against
+// a full server until the test calls the returned release.
+func parkedServer(t *testing.T, cfg ServeConfig) (s *Server, ts *httptest.Server, release func()) {
 	t.Helper()
-	cfg.BatchWindow = time.Hour
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = 100
+	s = NewWithConfig(engine(t), cfg)
+	ts = httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	release = holdSlots(t, s)
+	t.Cleanup(release) // unpark anything a failing test left behind (runs before ts.Close)
+	return s, ts, release
+}
+
+// holdSlots takes every admission slot of s and returns the function that
+// gives them all back.
+func holdSlots(t *testing.T, s *Server) func() {
+	t.Helper()
+	releases := make([]func(), cap(s.admission.slots))
+	for i := range releases {
+		r, err := s.admission.admit(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		releases[i] = r
 	}
-	s := NewWithConfig(engine(t), cfg)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { ts.Close() })
-	t.Cleanup(s.Flush) // unpark anything a failing test left behind
-	return s, ts
+	return func() {
+		for _, r := range releases {
+			r()
+		}
+	}
+}
+
+// waitQueued polls until n requests wait in s's admission queue.
+func waitQueued(t *testing.T, s *Server, n int) {
+	t.Helper()
+	for i := 0; i < 500; i++ {
+		if _, queued, _, _ := s.admission.snapshot(); queued == n {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("admission queue never reached %d waiting requests", n)
 }
 
 // TestOverloadSheds is the admission tier's wire contract: once the
 // inflight slots and the queue are full, further requests get 429 with
-// code "overloaded", a Retry-After hint, and never a 5xx; the parked
-// requests complete normally once capacity frees.
+// code "overloaded", a Retry-After hint, and never a 5xx; the queued
+// request completes normally once capacity frees.
 func TestOverloadSheds(t *testing.T) {
-	s, ts := parkedServer(t, ServeConfig{MaxInflight: 1, MaxQueue: 0, RetryAfter: 3 * time.Second})
+	s, ts, release := parkedServer(t, ServeConfig{MaxInflight: 1, MaxQueue: 1, RetryAfter: 3 * time.Second})
 
 	var wg sync.WaitGroup
-	var parked analyzeResponse
-	var parkedCode int
+	var queued analyzeResponse
+	var queuedCode int
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		parkedCode = postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: program}, &parked)
+		var err error
+		if queuedCode, err = tryPostJSON(ts.URL+"/v1/analyze", requestEnvelope{Source: program}, &queued); err != nil {
+			t.Error(err)
+		}
 	}()
-	waitPending(t, s, 1)
+	waitQueued(t, s, 1)
 
 	resp := postJSONResp(t, ts.URL+"/v1/analyze", requestEnvelope{Source: program})
 	var e errorEnvelope
@@ -164,24 +195,26 @@ func TestOverloadSheds(t *testing.T) {
 		t.Errorf("Retry-After = %q, want %q", ra, "3")
 	}
 
-	s.Flush()
+	release()
 	wg.Wait()
-	if parkedCode != http.StatusOK || parked.Loops != 4 {
-		t.Errorf("parked request: status %d loops %d, want 200 and 4", parkedCode, parked.Loops)
+	if queuedCode != http.StatusOK || queued.Loops != 4 {
+		t.Errorf("queued request: status %d loops %d, want 200 and 4", queuedCode, queued.Loops)
 	}
 
 	var st statsResponse
 	getJSON(t, ts.URL+"/v1/stats", &st)
-	if !st.Admission.Enabled || st.Admission.Shed != 1 || st.Admission.Admitted < 1 {
-		t.Errorf("admission stats = %+v, want enabled with 1 shed", st.Admission)
+	// Admitted counts the test's own slot plus the queued request.
+	if !st.Admission.Enabled || st.Admission.Shed != 1 || st.Admission.Admitted != 2 {
+		t.Errorf("admission stats = %+v, want enabled with 1 shed and 2 admitted", st.Admission)
 	}
 }
 
 // TestDeadlinePropagates pins deadline_ms end to end: a budget that
-// expires while the request is parked produces 504/"deadline_exceeded"
-// (retryable), not a hung handler and not a success.
+// expires while the request waits for capacity produces
+// 504/"deadline_exceeded" (retryable), not a hung handler and not a
+// success.
 func TestDeadlinePropagates(t *testing.T) {
-	_, ts := parkedServer(t, ServeConfig{MaxInflight: 4, MaxQueue: 4})
+	_, ts, _ := parkedServer(t, ServeConfig{MaxInflight: 4, MaxQueue: 4})
 
 	start := time.Now()
 	resp := postJSONResp(t, ts.URL+"/v1/analyze", requestEnvelope{Source: program, DeadlineMS: 50})
@@ -199,17 +232,10 @@ func TestDeadlinePropagates(t *testing.T) {
 }
 
 // TestDeadlineInAdmissionQueue checks a deadline that expires while
-// waiting for an admission slot frees the queue place and answers 504.
+// waiting for an admission slot frees the queue place and answers 504,
+// and that the server serves normally once capacity returns.
 func TestDeadlineInAdmissionQueue(t *testing.T) {
-	s, ts := parkedServer(t, ServeConfig{MaxInflight: 1, MaxQueue: 4})
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: program}, nil)
-	}()
-	waitPending(t, s, 1) // slot holder parked in the batch window
+	s, ts, release := parkedServer(t, ServeConfig{MaxInflight: 1, MaxQueue: 4})
 
 	var e errorEnvelope
 	if code := postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: program, DeadlineMS: 50}, &e); code != http.StatusGatewayTimeout {
@@ -221,8 +247,11 @@ func TestDeadlineInAdmissionQueue(t *testing.T) {
 	if _, queued, _, _ := s.admission.snapshot(); queued != 0 {
 		t.Errorf("admission queue = %d after the waiter timed out, want 0", queued)
 	}
-	s.Flush()
-	wg.Wait()
+	release()
+	var resp analyzeResponse
+	if code := postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: program}, &resp); code != http.StatusOK || resp.Loops != 4 {
+		t.Errorf("after release: status %d loops %d, want 200 and 4", code, resp.Loops)
+	}
 }
 
 // TestRateLimitOverHTTP pins the per-client tier: a client that exhausts
@@ -278,63 +307,62 @@ func TestRateLimitOverHTTP(t *testing.T) {
 }
 
 // TestShutdownUnderLoad drives the graceful-drain contract end to end on
-// a real http.Server: with requests parked in the batch window and one
-// waiting in the admission queue, Shutdown (with Close registered, as
-// cmd/graph2serve wires it) answers every in-flight request, the
-// admission queue drains, and the listener closes — all within the
-// grace budget, no request dropped. Close rather than Flush is the
-// shutdown hook: a request admitted after a one-shot flush would park in
-// a fresh window nobody will ever flush, hanging the drain.
+// a real http.Server: with every admission slot held and three requests
+// waiting in the admission queue, Shutdown closes the listener at once
+// but waits for those requests; when the slots free mid-drain, every
+// queued request is answered normally, the queue drains, and Shutdown
+// returns within the grace budget — no request dropped.
 func TestShutdownUnderLoad(t *testing.T) {
-	s := NewWithConfig(engine(t), ServeConfig{
-		BatchWindow: time.Hour, MaxBatch: 100, MaxInflight: 2, MaxQueue: 4,
-	})
+	s := NewWithConfig(engine(t), ServeConfig{MaxInflight: 2, MaxQueue: 4})
+	release := holdSlots(t, s)
+	defer release()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := &http.Server{Handler: s.Handler()}
-	srv.RegisterOnShutdown(s.Close)
 	go func() { _ = srv.Serve(ln) }()
-	base := "http://" + ln.Addr().String()
+	addr := ln.Addr().String()
 
-	// Two requests park in the window holding both slots; a third waits
-	// in the admission queue (it will get a slot when a parked request
-	// finishes during the drain).
 	var wg sync.WaitGroup
 	codes := make([]int, 3)
 	resps := make([]analyzeResponse, 3)
-	for i := 0; i < 2; i++ {
+	for i := range codes {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i] = postJSON(t, base+"/v1/analyze", requestEnvelope{Source: program}, &resps[i])
+			var err error
+			if codes[i], err = tryPostJSON("http://"+addr+"/v1/analyze", requestEnvelope{Source: program}, &resps[i]); err != nil {
+				t.Error(err)
+			}
 		}(i)
 	}
-	for i := 0; i < 500; i++ {
-		s.batcher.mu.Lock()
-		n := len(s.batcher.pending)
-		s.batcher.mu.Unlock()
-		if n == 2 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		codes[2] = postJSON(t, base+"/v1/analyze", requestEnvelope{Source: program}, &resps[2])
-	}()
-	for i := 0; i < 500; i++ {
-		if _, queued, _, _ := s.admission.snapshot(); queued == 1 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitQueued(t, s, len(codes))
 
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
+	shutdown := make(chan error, 1)
+	go func() { shutdown <- srv.Shutdown(shutdownCtx) }()
+	// The drain has begun once the listener refuses new connections.
+	for i := 0; ; i++ {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			break
+		}
+		c.Close()
+		if i == 500 {
+			t.Fatal("listener still accepting after Shutdown began")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	select {
+	case err := <-shutdown:
+		t.Fatalf("Shutdown returned (%v) while requests were still queued", err)
+	default:
+	}
+
+	release() // the in-flight work finishes mid-drain
+	if err := <-shutdown; err != nil {
 		t.Fatalf("graceful shutdown failed under load: %v", err)
 	}
 	wg.Wait()
@@ -344,48 +372,8 @@ func TestShutdownUnderLoad(t *testing.T) {
 			t.Errorf("request %d: status %d loops %d, want 200 and 4", i, code, resps[i].Loops)
 		}
 	}
-	if inflight, queued, _, shed := func() (int, int, uint64, uint64) { return s.admission.snapshot() }(); inflight != 0 || queued != 0 || shed != 0 {
+	if inflight, queued, _, shed := s.admission.snapshot(); inflight != 0 || queued != 0 || shed != 0 {
 		t.Errorf("post-drain admission: inflight=%d queued=%d shed=%d, want all zero", inflight, queued, shed)
-	}
-}
-
-// TestBatcherContextCancel checks the parked-request path directly: a
-// member whose context ends while waiting returns the context error
-// without stalling the window, and the batch still runs for the others.
-func TestBatcherContextCancel(t *testing.T) {
-	b := newMicroBatcher(engine(t), time.Hour, 100)
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, err := b.analyze(ctx, program)
-		errc <- err
-	}()
-	for i := 0; i < 500; i++ {
-		b.mu.Lock()
-		n := len(b.pending)
-		b.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	cancel()
-	if err := <-errc; err != context.Canceled {
-		t.Fatalf("abandoned member err = %v, want context.Canceled", err)
-	}
-	// The window still flushes cleanly; the orphaned result lands in the
-	// buffered channel and is dropped.
-	b.flush()
-
-	// A pre-canceled context never enqueues.
-	if _, err := b.analyze(ctx, program); err != context.Canceled {
-		t.Fatalf("pre-canceled analyze err = %v, want context.Canceled", err)
-	}
-	b.mu.Lock()
-	n := len(b.pending)
-	b.mu.Unlock()
-	if n != 0 {
-		t.Errorf("pre-canceled request parked anyway (%d pending)", n)
 	}
 }
 

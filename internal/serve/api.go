@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"mime"
 	"net"
@@ -38,21 +39,10 @@ type requestEnvelope struct {
 	// ClientID names the caller for per-client rate limiting. Falls back
 	// to the X-Client-ID header, then to the remote address.
 	ClientID string `json:"client_id,omitempty"`
-
-	// DOT is the legacy top-level spelling of options.dot, kept so
-	// pre-v1 request bodies stay valid against the alias routes.
-	// Deprecated: set options.dot.
-	DOT bool `json:"dot,omitempty"`
 }
 
 // requestOptions is the envelope's per-request tuning block.
 type requestOptions struct {
-	// Workers and Batch are forward-compatibility hints: the engine's
-	// worker pool and inference batch bound are process-wide, so today a
-	// nonzero value is validated (non-negative) but does not retune the
-	// engine per request.
-	Workers int `json:"workers,omitempty"`
-	Batch   int `json:"batch,omitempty"`
 	// DOT includes each loop's Graphviz rendering in the response
 	// (omitted by default: it dominates response size).
 	DOT bool `json:"dot,omitempty"`
@@ -66,9 +56,6 @@ type requestOptions struct {
 	// the server does".
 	Rewrite bool `json:"rewrite,omitempty"`
 }
-
-// wantDOT merges the two spellings of the DOT opt-in.
-func (e *requestEnvelope) wantDOT() bool { return e.Options.DOT || e.DOT }
 
 // analyzeResponse is the POST /v1/analyze result.
 type analyzeResponse struct {
@@ -110,13 +97,12 @@ const (
 	codeCacheDisabled   = "cache_disabled"
 )
 
-// fingerprintHeader authenticates warm pushes: the pushing replica sends
-// its model fingerprint and only a match with this replica's own is
-// accepted, so a misconfigured fleet (mixed checkpoints) can never
-// cross-pollinate caches. Kept in sync with
-// internal/peercache.FingerprintHeader (peercache cannot be imported
-// here: its in-package tests import serve).
-const fingerprintHeader = "X-Graph2Par-Fingerprint"
+// FingerprintHeader carries the pushing replica's model fingerprint on
+// warm pushes (POST /v1/cache/<key>, sent by internal/peercache). Only a
+// push whose fingerprint matches this replica's own is accepted, so a
+// misconfigured fleet (mixed checkpoints) can never cross-pollinate
+// caches.
+const FingerprintHeader = "X-Graph2Par-Fingerprint"
 
 // errorEnvelope is the one error shape every v1 endpoint emits.
 type errorEnvelope struct {
@@ -228,10 +214,16 @@ func checkContentType(r *http.Request) *apiError {
 
 // decodeEnvelope strictly decodes the request body under the configured
 // size cap, translating the failure modes into pointed envelope errors.
+// The body must hold exactly one JSON object: unknown fields and anything
+// but whitespace after the envelope are rejected.
 func (s *Server) decodeEnvelope(w http.ResponseWriter, r *http.Request, env *requestEnvelope) *apiError {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(env); err != nil {
+	err := dec.Decode(env)
+	if err == nil {
+		err = expectEOF(dec)
+	}
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return &apiError{
@@ -245,9 +237,6 @@ func (s *Server) decodeEnvelope(w http.ResponseWriter, r *http.Request, env *req
 	if env.DeadlineMS < 0 {
 		return badRequest("deadline_ms must be >= 0, got %d", env.DeadlineMS)
 	}
-	if env.Options.Workers < 0 || env.Options.Batch < 0 {
-		return badRequest("options.workers and options.batch must be >= 0")
-	}
 	if env.Options.Verify && !s.engine.VerifyEnabled() {
 		return &apiError{status: http.StatusServiceUnavailable, code: codeVerifyDisabled,
 			message: "options.verify requested but the verification stage is disabled (start graph2serve with -verify)"}
@@ -257,6 +246,22 @@ func (s *Server) decodeEnvelope(w http.ResponseWriter, r *http.Request, env *req
 			message: "options.rewrite requested but the rewrite stage is disabled (start graph2serve with -rewrite)"}
 	}
 	return nil
+}
+
+// expectEOF fails unless only whitespace follows the value dec has just
+// decoded. Decode stops at the end of the first JSON value, so without
+// this check a body such as `{"source":"a"} junk` or two concatenated
+// envelopes would be served as its first envelope alone. A read error
+// (such as the body cap) is returned as is.
+func expectEOF(dec *json.Decoder) error {
+	_, err := dec.Token()
+	if err == io.EOF {
+		return nil
+	}
+	if err == nil {
+		err = errors.New("unexpected data after the request envelope")
+	}
+	return err
 }
 
 // clientID resolves the rate-limit key: the envelope's client_id, else
@@ -358,17 +363,11 @@ func (s *Server) analyzeAPI(ctx context.Context, env *requestEnvelope) (any, *ap
 	if len(env.Files) > 0 {
 		return nil, badRequest("\"files\" is not accepted by /v1/analyze; use /v1/analyze/batch")
 	}
-	var reports []graph2par.LoopReport
-	var err error
-	if s.batcher != nil {
-		reports, err = s.batcher.analyze(ctx, env.Source)
-	} else {
-		reports, err = s.engine.AnalyzeSourceContext(ctx, env.Source)
-	}
+	reports, err := s.engine.AnalyzeSourceContext(ctx, env.Source)
 	if err != nil {
 		return nil, engineError(err)
 	}
-	return analyzeResponse{Loops: len(reports), Reports: stripDOT(reports, env.wantDOT())}, nil
+	return analyzeResponse{Loops: len(reports), Reports: stripDOT(reports, env.Options.DOT)}, nil
 }
 
 // batchAPI is POST /v1/analyze/batch.
@@ -387,7 +386,7 @@ func (s *Server) batchAPI(ctx context.Context, env *requestEnvelope) (any, *apiE
 	}
 	resp := batchResponse{Results: make(map[string][]graph2par.LoopReport, len(results))}
 	for name, reports := range results {
-		resp.Results[name] = stripDOT(reports, env.wantDOT())
+		resp.Results[name] = stripDOT(reports, env.Options.DOT)
 	}
 	if err != nil {
 		// Partial failure: parsable files were analyzed, the rest are
@@ -416,7 +415,7 @@ func (s *Server) rewriteAPI(ctx context.Context, env *requestEnvelope) (any, *ap
 	return rewriteResponse{
 		Changed: res.Changed,
 		Output:  res.Output,
-		Reports: stripDOT(res.Reports, env.wantDOT()),
+		Reports: stripDOT(res.Reports, env.Options.DOT),
 	}, nil
 }
 
@@ -484,7 +483,7 @@ func (s *Server) handleCacheWarm(w http.ResponseWriter, r *http.Request, key str
 		s.writeError(w, ae)
 		return
 	}
-	got := r.Header.Get(fingerprintHeader)
+	got := r.Header.Get(FingerprintHeader)
 	if want := s.engine.Fingerprint(); got == "" || got != want {
 		s.cacheWarmRej.Add(1)
 		s.writeError(w, &apiError{status: http.StatusForbidden, code: codeFingerprint,

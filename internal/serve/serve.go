@@ -1,8 +1,8 @@
 // Package serve implements the graph2serve HTTP JSON API over a shared
 // graph2par.Engine: one long-running warm model serves concurrent analyze
 // requests, with the engine's content-addressed cache giving repeat
-// queries sub-millisecond latency and an optional micro-batcher
-// (ServeConfig.BatchWindow) coalescing concurrent /v1/analyze requests
+// queries sub-millisecond latency. Each /v1/analyze request is one
+// Engine.AnalyzeSourceContext call; the engine packs that request's loops
 // into shared batched-inference passes.
 //
 // The v1 API (one uniform request envelope, one structured error
@@ -12,13 +12,9 @@
 //	POST /v1/analyze/batch  {"files": {"a.c": "..."}, ...}
 //	POST /v1/rewrite        {"source": "...", ...}
 //	GET  /v1/healthz        liveness probe
-//	GET  /v1/stats          cache, admission, rate-limit, peer, batching and request counters
+//	GET  /v1/stats          cache, admission, rate-limit, peer and request counters
 //	GET  /v1/cache/<key>    raw cached loop report by content-addressed key (peer cache pull)
 //	POST /v1/cache/<key>    install a replicated loop report, fingerprint-authenticated (peer cache push)
-//
-// The unversioned routes (/analyze, /analyze/batch, /rewrite, /healthz,
-// /stats) are deprecated aliases of their /v1 successors: same handlers,
-// same envelopes, plus a Deprecation header naming the replacement.
 //
 // Production ingress hygiene is uniform across the API endpoints:
 // requests must be application/json (415), bodies are capped (413),
@@ -46,16 +42,13 @@ import (
 // junk).
 const DefaultMaxBody = 16 << 20
 
-// DefaultMaxBatch is the per-window request cap used when
-// ServeConfig.MaxBatch is left zero.
-const DefaultMaxBatch = 16
-
 // DefaultRetryAfter is the Retry-After hint on shed responses when
 // ServeConfig.RetryAfter is left zero.
 const DefaultRetryAfter = time.Second
 
-// PeerStats is the peer-fill client's counter snapshot, supplied by
-// ServeConfig.PeerStats so /stats can report the cluster tier without
+// PeerStats is the peer-fill client's counter snapshot: the value
+// internal/peercache's Client.Stats returns, supplied through
+// ServeConfig.PeerStats so /v1/stats can report the cluster tier without
 // this package importing the peer client.
 type PeerStats struct {
 	// Peers is the replica-list size (self excluded); Live is how many
@@ -90,20 +83,6 @@ type PeerReplica struct {
 
 // ServeConfig tunes the server's request handling.
 type ServeConfig struct {
-	// BatchWindow > 0 enables server-side micro-batching of POST
-	// /v1/analyze: the first request of a quiet period opens a batch that
-	// collects concurrent requests for up to this duration (or until
-	// MaxBatch requests have joined), then the whole group shares one
-	// batched-inference engine pass. Responses are byte-identical to
-	// unbatched serving; the cost is up to BatchWindow of added latency
-	// per request, the win is coalesced forward passes under concurrent
-	// load. 0 (the zero value) disables micro-batching.
-	BatchWindow time.Duration
-	// MaxBatch caps how many requests one window may coalesce (a full
-	// batch dispatches immediately, without waiting out the window).
-	// 0 means DefaultMaxBatch.
-	MaxBatch int
-
 	// MaxBody caps request-body bytes (0 means DefaultMaxBody). Larger
 	// bodies get 413 with code "body_too_large".
 	MaxBody int64
@@ -111,8 +90,8 @@ type ServeConfig struct {
 	// MaxInflight > 0 enables admission control: at most this many API
 	// requests are processed concurrently, at most MaxQueue more wait for
 	// a slot, and requests beyond that watermark are shed with 429 +
-	// Retry-After instead of queueing without bound behind a backed-up
-	// batcher. 0 disables admission control.
+	// Retry-After instead of queueing without bound. 0 disables admission
+	// control.
 	MaxInflight int
 	// MaxQueue is the admission-queue watermark (only meaningful with
 	// MaxInflight > 0; 0 means shed as soon as every slot is busy).
@@ -140,9 +119,8 @@ type ServeConfig struct {
 type Server struct {
 	engine    *graph2par.Engine
 	started   time.Time
-	batcher   *microBatcher // nil when micro-batching is disabled
-	admission *admission    // nil when admission control is disabled
-	limiter   *rateLimiter  // nil when rate limiting is disabled
+	admission *admission   // nil when admission control is disabled
+	limiter   *rateLimiter // nil when rate limiting is disabled
 
 	maxBody    int64
 	retryAfter time.Duration
@@ -152,15 +130,14 @@ type Server struct {
 	batchReqs     atomic.Uint64
 	rewriteReqs   atomic.Uint64
 	errorReqs     atomic.Uint64
-	deprecated    atomic.Uint64 // requests arriving via unversioned aliases
 	cacheServed   atomic.Uint64 // /v1/cache/<key> hits served to peers
 	cacheNotFound atomic.Uint64
 	cacheWarmed   atomic.Uint64 // warm pushes accepted into the local cache
 	cacheWarmRej  atomic.Uint64 // warm pushes rejected (bad fingerprint, no cache)
 }
 
-// New wraps an engine for serving with micro-batching, admission control
-// and rate limiting disabled.
+// New wraps an engine for serving with admission control and rate
+// limiting disabled.
 func New(engine *graph2par.Engine) *Server {
 	return NewWithConfig(engine, ServeConfig{})
 }
@@ -180,13 +157,6 @@ func NewWithConfig(engine *graph2par.Engine, cfg ServeConfig) *Server {
 	if s.retryAfter <= 0 {
 		s.retryAfter = DefaultRetryAfter
 	}
-	if cfg.BatchWindow > 0 {
-		max := cfg.MaxBatch
-		if max <= 0 {
-			max = DefaultMaxBatch
-		}
-		s.batcher = newMicroBatcher(engine, cfg.BatchWindow, max)
-	}
 	if cfg.MaxInflight > 0 {
 		s.admission = newAdmission(cfg.MaxInflight, cfg.MaxQueue)
 	}
@@ -200,63 +170,22 @@ func NewWithConfig(engine *graph2par.Engine, cfg ServeConfig) *Server {
 	return s
 }
 
-// Flush dispatches the micro-batcher's open window immediately (no-op
-// when micro-batching is off). Coalescing continues; for shutdown use
-// Close instead.
-func (s *Server) Flush() {
-	if s.batcher != nil {
-		s.batcher.flush()
-	}
-}
+// Close is a no-op kept for callers that register it as an
+// http.Server.RegisterOnShutdown hook (the perfbench harness does). The
+// server holds no per-request state outside the handlers themselves, so a
+// graceful http.Server.Shutdown drains it completely on its own.
+func (s *Server) Close() {}
 
-// Close flushes the open window and disables coalescing; subsequent
-// requests are served directly. The server remains usable. Register it
-// with http.Server.RegisterOnShutdown (as cmd/graph2serve does) so a
-// graceful drain answers parked requests at once AND keeps late
-// stragglers — e.g. admission-queue waiters admitted mid-drain — from
-// parking in a fresh window nobody will flush.
-func (s *Server) Close() {
-	if s.batcher != nil {
-		s.batcher.close()
-	}
-}
-
-// Handler returns the routed HTTP handler: the /v1 route family plus the
-// deprecated unversioned aliases.
+// Handler returns the routed HTTP handler for the /v1 route family.
 func (s *Server) Handler() http.Handler {
-	analyze := s.endpoint(&s.analyzeReqs, s.analyzeAPI)
-	batch := s.endpoint(&s.batchReqs, s.batchAPI)
-	rewriteH := s.endpoint(&s.rewriteReqs, s.rewriteAPI)
-
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/analyze", analyze)
-	mux.HandleFunc("/v1/analyze/batch", batch)
-	mux.HandleFunc("/v1/rewrite", rewriteH)
+	mux.HandleFunc("/v1/analyze", s.endpoint(&s.analyzeReqs, s.analyzeAPI))
+	mux.HandleFunc("/v1/analyze/batch", s.endpoint(&s.batchReqs, s.batchAPI))
+	mux.HandleFunc("/v1/rewrite", s.endpoint(&s.rewriteReqs, s.rewriteAPI))
 	mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/v1/cache/", s.handleCacheKey)
-
-	// Deprecated unversioned aliases: same handlers, same envelopes, plus
-	// a Deprecation header pointing clients at the successor route.
-	mux.HandleFunc("/analyze", s.legacy("/v1/analyze", analyze))
-	mux.HandleFunc("/analyze/batch", s.legacy("/v1/analyze/batch", batch))
-	mux.HandleFunc("/rewrite", s.legacy("/v1/rewrite", rewriteH))
-	mux.HandleFunc("/healthz", s.legacy("/v1/healthz", s.handleHealthz))
-	mux.HandleFunc("/stats", s.legacy("/v1/stats", s.handleStats))
 	return mux
-}
-
-// legacy wraps a v1 handler for its unversioned alias: it announces the
-// deprecation (RFC 8594-style Deprecation + successor Link headers) and
-// counts the hit so operators can watch legacy traffic drain before
-// removing the routes.
-func (s *Server) legacy(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.deprecated.Add(1)
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // statsResponse is the GET /v1/stats body.
@@ -268,7 +197,6 @@ type statsResponse struct {
 	RateLimit     rateLimitInfo `json:"rateLimit"`
 	Cache         cacheStats    `json:"cache"`
 	Peer          peerInfo      `json:"peer"`
-	Batching      batchingStats `json:"batching"`
 	Verify        verifyInfo    `json:"verify"`
 	Rewrite       rewriteInfo   `json:"rewrite"`
 }
@@ -342,27 +270,11 @@ type verifyInfo struct {
 	Unsafe  uint64 `json:"unsafe"`
 }
 
-// batchingStats reports whether request coalescing is actually happening:
-// batches is how many windows were dispatched, coalescedRequests how many
-// /v1/analyze requests rode them, and meanBatchSize their ratio — 1.0
-// means every window held a single request (no concurrency to coalesce),
-// higher means clients are genuinely sharing forward passes.
-type batchingStats struct {
-	Enabled           bool    `json:"enabled"`
-	WindowMillis      float64 `json:"windowMillis,omitempty"`
-	Batches           uint64  `json:"batches"`
-	CoalescedRequests uint64  `json:"coalescedRequests"`
-	MeanBatchSize     float64 `json:"meanBatchSize"`
-}
-
 type reqStats struct {
 	Analyze uint64 `json:"analyze"`
 	Batch   uint64 `json:"batch"`
 	Rewrite uint64 `json:"rewrite"`
 	Errors  uint64 `json:"errors"`
-	// Deprecated counts requests that arrived via the unversioned alias
-	// routes; it reaching zero is the signal the aliases can be retired.
-	Deprecated uint64 `json:"deprecated"`
 }
 
 type cacheStats struct {
@@ -383,11 +295,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Workers:       s.engine.Workers(),
 		Requests: reqStats{
-			Analyze:    s.analyzeReqs.Load(),
-			Batch:      s.batchReqs.Load(),
-			Rewrite:    s.rewriteReqs.Load(),
-			Errors:     s.errorReqs.Load(),
-			Deprecated: s.deprecated.Load(),
+			Analyze: s.analyzeReqs.Load(),
+			Batch:   s.batchReqs.Load(),
+			Rewrite: s.rewriteReqs.Load(),
+			Errors:  s.errorReqs.Load(),
 		},
 	}
 	if s.admission != nil {
@@ -448,21 +359,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if st, ok := s.engine.RewriteStats(); ok {
 		resp.Rewrite = rewriteInfo{
 			Enabled: true, Rewritten: st.Rewritten, Atomic: st.Atomic, Suggestion: st.Suggestion,
-		}
-	}
-	if s.batcher != nil {
-		batches := s.batcher.batches.Load()
-		coalesced := s.batcher.coalesced.Load()
-		mean := 0.0
-		if batches > 0 {
-			mean = float64(coalesced) / float64(batches)
-		}
-		resp.Batching = batchingStats{
-			Enabled:           true,
-			WindowMillis:      float64(s.batcher.window) / float64(time.Millisecond),
-			Batches:           batches,
-			CoalescedRequests: coalesced,
-			MeanBatchSize:     mean,
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)

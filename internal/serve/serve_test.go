@@ -3,13 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"graph2par"
 )
@@ -60,14 +60,31 @@ int main() {
 // out, returning the status code.
 func postJSON(t *testing.T, url string, body any, out any) int {
 	t.Helper()
-	resp := postJSONResp(t, url, body)
+	code, err := tryPostJSON(url, body, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code
+}
+
+// tryPostJSON is postJSON returning its failure instead of calling
+// t.Fatal, for goroutines other than the test's own.
+func tryPostJSON(url string, body any, out any) (int, error) {
+	raw, err := json.Marshal(body)
+	if err != nil {
+		return 0, err
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
+	if err != nil {
+		return 0, err
+	}
 	defer resp.Body.Close()
 	if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("decoding response: %v", err)
+			return resp.StatusCode, fmt.Errorf("decoding response: %w", err)
 		}
 	}
-	return resp.StatusCode
+	return resp.StatusCode, nil
 }
 
 // postJSONResp is postJSON exposing the raw response (header checks).
@@ -136,14 +153,33 @@ func TestAnalyzeEndpoint(t *testing.T) {
 func TestAnalyzeRejectsBadInput(t *testing.T) {
 	ts := server(t)
 
-	// malformed JSON
-	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
+	// Strict decoding: the body must be exactly one envelope, so malformed
+	// JSON, unknown fields (catching client typos), fields the envelope
+	// does not have and anything after the envelope all get 400.
+	env := string(mustJSON(t, requestEnvelope{Source: program}))
+	withField := func(field string) string { return strings.TrimSuffix(env, "}") + "," + field + "}" }
+	for name, body := range map[string]string{
+		"malformed JSON":  "{not json",
+		"unknown field":   `{"sorce": "x"}`,
+		"top-level dot":   withField(`"dot": true`),
+		"options.workers": withField(`"options": {"workers": 1}`),
+		"options.batch":   withField(`"options": {"batch": 1}`),
+		"trailing bytes":  env + " junk",
+		"second envelope": env + env,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorEnvelope
+		decodeBody(t, resp, &e)
+		if resp.StatusCode != http.StatusBadRequest || e.Error.Code != codeBadRequest {
+			t.Errorf("%s: status %d code %q, want 400 %q", name, resp.StatusCode, e.Error.Code, codeBadRequest)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed JSON: status = %d, want 400", resp.StatusCode)
+	// Trailing whitespace is not data: an encoder's final newline is fine.
+	if code := postRaw(t, ts.URL+"/v1/analyze", env+"\n\t "); code != http.StatusOK {
+		t.Errorf("envelope + trailing whitespace: status = %d, want 200", code)
 	}
 
 	// missing source
@@ -155,22 +191,13 @@ func TestAnalyzeRejectsBadInput(t *testing.T) {
 		t.Errorf("empty source envelope = %+v, want code %q, not retryable", e.Error, codeBadRequest)
 	}
 
-	// unknown fields are rejected, catching client typos
-	resp2, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(`{"sorce": "x"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: status = %d, want 400", resp2.StatusCode)
-	}
-
-	// C that does not parse
+	// C that does not parse: the message is the engine's own parse error
 	if code := postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: "int main() { for (i=0 i<10; i++) ; }"}, &e); code != http.StatusUnprocessableEntity {
 		t.Errorf("unparsable C: status = %d, want 422", code)
 	}
-	if e.Error.Code != codeUnparsable || e.Error.Message == "" {
-		t.Errorf("unparsable envelope = %+v, want code %q with a message", e.Error, codeUnparsable)
+	_, directErr := engine(t).AnalyzeSource("int main() { for (i=0 i<10; i++) ; }")
+	if e.Error.Code != codeUnparsable || directErr == nil || e.Error.Message != directErr.Error() {
+		t.Errorf("unparsable envelope = %+v, want code %q with the engine's error %v", e.Error, codeUnparsable, directErr)
 	}
 
 	// negative deadline
@@ -190,6 +217,22 @@ func TestAnalyzeRejectsBadInput(t *testing.T) {
 	if allow := wrong.Header.Get("Allow"); !strings.Contains(allow, http.MethodPost) {
 		t.Errorf("405 Allow = %q, want POST", allow)
 	}
+
+	// only the /v1 routes exist
+	if code := postRaw(t, ts.URL+"/analyze", env); code != http.StatusNotFound {
+		t.Errorf("POST /analyze: status = %d, want 404", code)
+	}
+}
+
+// postRaw posts body verbatim as application/json and returns the status.
+func postRaw(t *testing.T, url, body string) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 // TestIngressHygiene pins the uniform request guards: non-JSON bodies
@@ -237,60 +280,16 @@ func TestIngressHygiene(t *testing.T) {
 	if resp2.StatusCode != http.StatusRequestEntityTooLarge || e.Error.Code != codeBodyTooLarge {
 		t.Errorf("oversized body: status %d code %q, want 413 %q", resp2.StatusCode, e.Error.Code, codeBodyTooLarge)
 	}
-}
 
-// TestLegacyAliases pins the deprecation contract: every unversioned
-// route answers exactly like its /v1 successor, adds the Deprecation
-// and successor Link headers, and bumps the deprecated counter.
-func TestLegacyAliases(t *testing.T) {
-	ts := server(t)
-
-	var v1 analyzeResponse
-	if code := postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: program}, &v1); code != http.StatusOK {
-		t.Fatalf("/v1/analyze status = %d", code)
-	}
-	resp := postJSONResp(t, ts.URL+"/analyze", requestEnvelope{Source: program})
-	var legacy analyzeResponse
-	if err := json.NewDecoder(resp.Body).Decode(&legacy); err != nil {
+	// a small envelope padded past the cap is still oversized, not malformed
+	padded := `{"source": "x"}` + strings.Repeat(" ", 512)
+	resp3, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(padded))
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/analyze status = %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy route missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/analyze") || !strings.Contains(link, "successor-version") {
-		t.Errorf("legacy Link = %q, want successor-version pointing at /v1/analyze", link)
-	}
-	if !reflect.DeepEqual(legacy, v1) {
-		t.Error("legacy /analyze response differs from /v1/analyze")
-	}
-
-	// The legacy top-level dot spelling still works on both route forms.
-	var withDot analyzeResponse
-	postJSON(t, ts.URL+"/analyze", requestEnvelope{Source: program, DOT: true}, &withDot)
-	if len(withDot.Reports) == 0 || withDot.Reports[0].DOT == "" {
-		t.Error("legacy top-level dot:true should include the rendering")
-	}
-
-	for _, route := range []string{"/analyze/batch", "/rewrite", "/healthz", "/stats"} {
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+route, nil)
-		r, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
-		if r.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s: missing Deprecation header", route)
-		}
-	}
-
-	var st statsResponse
-	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.Requests.Deprecated == 0 {
-		t.Error("deprecated counter never moved despite legacy traffic")
+	decodeBody(t, resp3, &e)
+	if resp3.StatusCode != http.StatusRequestEntityTooLarge || e.Error.Code != codeBodyTooLarge {
+		t.Errorf("padded body: status %d code %q, want 413 %q", resp3.StatusCode, e.Error.Code, codeBodyTooLarge)
 	}
 }
 
@@ -385,9 +384,9 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestConcurrentAnalyze posts the same and different sources from many
-// goroutines at once — under -race this is the serving path's concurrency
-// check, and every response must equal the sequential answer.
+// TestConcurrentAnalyze posts the same source from many goroutines at
+// once — under -race this is the serving path's concurrency check, and
+// every response must equal the sequential answer.
 func TestConcurrentAnalyze(t *testing.T) {
 	ts := server(t)
 	var want analyzeResponse
@@ -404,20 +403,13 @@ func TestConcurrentAnalyze(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
 				var got analyzeResponse
-				raw, _ := json.Marshal(requestEnvelope{Source: program})
-				resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(raw))
+				code, err := tryPostJSON(ts.URL+"/v1/analyze", requestEnvelope{Source: program}, &got)
 				if err != nil {
 					errs <- err.Error()
 					return
 				}
-				err = json.NewDecoder(resp.Body).Decode(&got)
-				resp.Body.Close()
-				if err != nil {
-					errs <- err.Error()
-					return
-				}
-				if resp.StatusCode != http.StatusOK {
-					errs <- "bad status"
+				if code != http.StatusOK {
+					errs <- fmt.Sprintf("status %d", code)
 					return
 				}
 				if !reflect.DeepEqual(got, want) {
@@ -434,45 +426,18 @@ func TestConcurrentAnalyze(t *testing.T) {
 	}
 }
 
-// batchingServer starts a server with micro-batching enabled and returns
-// both halves: the Server (so tests can reach the batcher) and the
-// httptest wrapper.
-func batchingServer(t *testing.T, window time.Duration, maxBatch int) (*Server, *httptest.Server) {
-	t.Helper()
-	s := NewWithConfig(engine(t), ServeConfig{BatchWindow: window, MaxBatch: maxBatch})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
-}
-
-// waitPending polls until the batcher has parked exactly n requests.
-func waitPending(t *testing.T, s *Server, n int) {
-	t.Helper()
-	for i := 0; i < 500; i++ {
-		s.batcher.mu.Lock()
-		got := len(s.batcher.pending)
-		s.batcher.mu.Unlock()
-		if got == n {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("batch window never reached %d parked requests", n)
-}
-
-// TestMicroBatchCoalescesConcurrentClients is the micro-batcher's core
-// -race check: four concurrent clients land in one batch window (the
-// window is long, the batch cap is 4, so the fourth arrival dispatches
-// the group), every client gets exactly the response the direct path
-// would have produced — non-interleaved, matching its own source — and
-// /stats records one batch of mean size 4.
+// TestMicroBatchCoalescesConcurrentClients is named for the micro-batcher
+// that once coalesced concurrent /v1/analyze requests; the contract it
+// pins outlived it: four clients posting distinct sources at once each
+// get exactly the response the direct engine call gives for their own
+// source — not swapped, not torn — and /v1/stats counts four requests.
 func TestMicroBatchCoalescesConcurrentClients(t *testing.T) {
-	_, ts := batchingServer(t, 10*time.Second, 4)
+	ts := server(t)
 
 	// Distinct sources with distinct loop counts so a swapped or torn
 	// response is unmissable.
 	sources := make([]string, 4)
-	wants := make([]analyzeResponse, 4)
+	wants := make([]analyzeResponse, len(sources))
 	for i := range sources {
 		var b strings.Builder
 		b.WriteString("int main() {\n    int a[64];\n    int i, s = 0;\n")
@@ -489,49 +454,45 @@ func TestMicroBatchCoalescesConcurrentClients(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	got := make([]analyzeResponse, 4)
-	codes := make([]int, 4)
+	got := make([]analyzeResponse, len(sources))
+	codes := make([]int, len(sources))
+	errs := make([]error, len(sources))
 	for i := range sources {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i] = postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: sources[i]}, &got[i])
+			codes[i], errs[i] = tryPostJSON(ts.URL+"/v1/analyze", requestEnvelope{Source: sources[i]}, &got[i])
 		}(i)
 	}
 	wg.Wait()
 
 	for i := range sources {
+		if errs[i] != nil {
+			t.Fatalf("client %d: %v", i, errs[i])
+		}
 		if codes[i] != http.StatusOK {
 			t.Fatalf("client %d: status %d", i, codes[i])
 		}
 		if !reflect.DeepEqual(got[i], wants[i]) {
-			t.Errorf("client %d: coalesced response differs from direct AnalyzeSource", i)
+			t.Errorf("client %d: concurrent response differs from direct AnalyzeSource", i)
 		}
 	}
 
 	var st statsResponse
 	getJSON(t, ts.URL+"/v1/stats", &st)
-	if !st.Batching.Enabled {
-		t.Fatal("batching should be enabled")
-	}
-	if st.Batching.Batches != 1 || st.Batching.CoalescedRequests != 4 {
-		t.Errorf("batches=%d coalesced=%d, want 1 and 4", st.Batching.Batches, st.Batching.CoalescedRequests)
-	}
-	if st.Batching.MeanBatchSize != 4 {
-		t.Errorf("meanBatchSize=%v, want 4", st.Batching.MeanBatchSize)
+	if st.Requests.Analyze != 4 || st.Requests.Errors != 0 {
+		t.Errorf("requests analyze=%d errors=%d, want 4 and 0", st.Requests.Analyze, st.Requests.Errors)
 	}
 }
 
-// TestMicroBatchPerRequestErrors checks error isolation inside one
-// coalesced batch: an unparsable member gets its own 422 with the parse
-// error the direct path would produce, while the parsable members of the
-// same window are answered normally.
+// TestMicroBatchPerRequestErrors is named for the micro-batcher too; it
+// pins error isolation between concurrent requests: an unparsable request
+// gets its own 422 carrying the engine's parse error verbatim, while the
+// parsable requests in flight beside it are answered normally.
 func TestMicroBatchPerRequestErrors(t *testing.T) {
-	_, ts := batchingServer(t, 10*time.Second, 3)
+	ts := server(t)
 
 	bad := "int main() { for (i=0 i<10; i++) ; }"
-	// The reference error comes straight from the engine: the direct
-	// serving path returns AnalyzeSource's error verbatim.
 	_, directErr := engine(t).AnalyzeSource(bad)
 	if directErr == nil {
 		t.Fatal("reference source should fail to parse")
@@ -541,92 +502,37 @@ func TestMicroBatchPerRequestErrors(t *testing.T) {
 	var goodA, goodB analyzeResponse
 	var gotErr errorEnvelope
 	var codeA, codeB, codeBad int
+	var errA, errB, errBad error
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
-		codeA = postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: program}, &goodA)
+		codeA, errA = tryPostJSON(ts.URL+"/v1/analyze", requestEnvelope{Source: program}, &goodA)
 	}()
 	go func() {
 		defer wg.Done()
-		codeBad = postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: bad}, &gotErr)
+		codeBad, errBad = tryPostJSON(ts.URL+"/v1/analyze", requestEnvelope{Source: bad}, &gotErr)
 	}()
 	go func() {
 		defer wg.Done()
-		codeB = postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: program}, &goodB)
+		codeB, errB = tryPostJSON(ts.URL+"/v1/analyze", requestEnvelope{Source: program}, &goodB)
 	}()
 	wg.Wait()
-
-	if codeA != http.StatusOK || codeB != http.StatusOK {
-		t.Errorf("good members: codes %d, %d, want 200", codeA, codeB)
-	}
-	if codeBad != http.StatusUnprocessableEntity {
-		t.Errorf("bad member: code %d, want 422", codeBad)
-	}
-	if gotErr.Error.Message != directErr.Error() {
-		t.Errorf("batched parse error %q differs from direct %q", gotErr.Error.Message, directErr.Error())
-	}
-	if goodA.Loops != 4 || !reflect.DeepEqual(goodA, goodB) {
-		t.Error("good members of a mixed batch got wrong reports")
-	}
-}
-
-// TestMicroBatchFlushOnShutdown pins the drain contract: requests parked
-// in an open window are answered immediately when Flush runs (as it does
-// via http.Server.RegisterOnShutdown in graph2serve), not after the
-// window expires.
-func TestMicroBatchFlushOnShutdown(t *testing.T) {
-	s, ts := batchingServer(t, 10*time.Minute, 100)
-
-	var wg sync.WaitGroup
-	got := make([]analyzeResponse, 2)
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: program}, &got[i])
-		}(i)
-	}
-	waitPending(t, s, 2)
-	s.Flush()
-	wg.Wait() // would block ~10 minutes if the flush didn't dispatch
-
-	for i := range got {
-		if got[i].Loops != 4 {
-			t.Errorf("flushed request %d: loops=%d, want 4", i, got[i].Loops)
+	for _, err := range []error{errA, errB, errBad} {
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 
-	// Close flushes too and downgrades later requests to the direct path.
-	s.Close()
-	var after analyzeResponse
-	if code := postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: program}, &after); code != http.StatusOK {
-		t.Fatalf("post-Close request: status %d", code)
+	if codeA != http.StatusOK || codeB != http.StatusOK {
+		t.Errorf("good requests: codes %d, %d, want 200", codeA, codeB)
 	}
-	if after.Loops != 4 {
-		t.Errorf("post-Close request got %d loops, want 4", after.Loops)
+	if codeBad != http.StatusUnprocessableEntity {
+		t.Errorf("bad request: code %d, want 422", codeBad)
 	}
-	var st statsResponse
-	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.Batching.Batches != 1 || st.Batching.CoalescedRequests != 2 {
-		t.Errorf("post-Close stats: batches=%d coalesced=%d, want 1 and 2 (direct requests must not count)",
-			st.Batching.Batches, st.Batching.CoalescedRequests)
+	if gotErr.Error.Code != codeUnparsable || gotErr.Error.Message != directErr.Error() {
+		t.Errorf("parse error envelope = %+v, want code %q with the engine's error %q", gotErr.Error, codeUnparsable, directErr.Error())
 	}
-}
-
-// TestMicroBatchWindowExpiry checks the timer path: a lone request is
-// dispatched when its window expires, without reaching the batch cap.
-func TestMicroBatchWindowExpiry(t *testing.T) {
-	_, ts := batchingServer(t, 20*time.Millisecond, 100)
-	var resp analyzeResponse
-	if code := postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: program}, &resp); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if resp.Loops != 4 {
-		t.Errorf("loops=%d, want 4", resp.Loops)
-	}
-	var st statsResponse
-	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.Batching.Batches != 1 || st.Batching.MeanBatchSize != 1 {
-		t.Errorf("lone request: batches=%d mean=%v, want 1 and 1", st.Batching.Batches, st.Batching.MeanBatchSize)
+	if goodA.Loops != 4 || !reflect.DeepEqual(goodA, goodB) {
+		t.Error("good requests beside a failing one got wrong reports")
 	}
 }

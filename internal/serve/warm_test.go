@@ -22,7 +22,7 @@ func warmPost(t *testing.T, url, key, fingerprint, contentType string, body []by
 		req.Header.Set("Content-Type", contentType)
 	}
 	if fingerprint != "" {
-		req.Header.Set(fingerprintHeader, fingerprint)
+		req.Header.Set(FingerprintHeader, fingerprint)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
