@@ -221,8 +221,7 @@ func analysisEngine(b *testing.B) *Engine {
 
 // benchCorpusSize is the corpus the AnalyzeFiles benchmark family shares:
 // all four variants (Serial/Parallel/Cached/Batched) analyze the same 32
-// files so their ns/op are directly comparable — these four are the rows
-// of BENCH_pr3.json and the regression gate in CI.
+// files so their ns/op are directly comparable.
 const benchCorpusSize = 32
 
 // benchmarkAnalyzeFiles measures one full corpus analysis pass — parse,

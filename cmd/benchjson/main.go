@@ -2,14 +2,14 @@
 // JSON summary and optionally gates on a committed baseline, failing when
 // a named benchmark regressed beyond a tolerance. It is the benchmark
 // half of CI: the bench job pipes the AnalyzeFiles benchmark family
-// through it to produce BENCH_pr3.json (the uploaded trajectory artifact)
+// through it to produce BENCH_pr5.json (the uploaded trajectory artifact)
 // and to enforce that batched inference never quietly loses the speed it
 // was added for.
 //
 // Usage:
 //
 //	go test -bench AnalyzeFiles -benchtime 3x -run '^$' . \
-//	  | benchjson -out BENCH_pr3.json \
+//	  | benchjson -out BENCH_pr5.json \
 //	      -baseline BENCH_baseline.json -gate BenchmarkAnalyzeFilesBatched -max-regress 20 \
 //	      -gate-ratio BenchmarkAnalyzeFilesBatched/BenchmarkAnalyzeFilesParallel -max-ratio 1.10
 //

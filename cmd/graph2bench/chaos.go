@@ -8,6 +8,8 @@
 //   - every 429 is a shed/rate-limit with Retry-After (no silent drops);
 //   - responses stay byte-identical to a local recompute on the
 //     reference model, before, during and after the fault;
+//   - every survivor's peer client holds the killed replica as down
+//     just before it restarts (the health state machine fired);
 //   - the restarted replica rejoins (survivors see it live again) and
 //     recovers its shard from its co-owners (its cold cache serves the
 //     corpus with peer hits, not wholesale recomputation).
@@ -155,9 +157,11 @@ func chaosRun(cfg chaosConfig) int {
 	var restarted sync.WaitGroup
 	restarted.Add(1)
 	var restartErr error
+	var victimStates map[int]string
 	time.AfterFunc(cfg.killAt, func() { fleet.kill(victim) })
 	time.AfterFunc(cfg.restartAt, func() {
 		defer restarted.Done()
+		victimStates = fleet.peerStates(fleet.urls[victim])
 		_, restartErr = fleet.boot(victim)
 	})
 
@@ -182,7 +186,7 @@ func chaosRun(cfg chaosConfig) int {
 		Workload:    fmt.Sprintf("chaos (%d replicas, %d-file corpus, %d loops/file)", cfg.replicas, cfg.corpusSize, cfg.work),
 		InProcess:   true,
 	}
-	failed := chaosGates(&rep, fleet, victim, corpus, reference)
+	failed := chaosGates(&rep, fleet, victim, victimStates, corpus, reference)
 
 	if cfg.benchOut != "" {
 		if err := writeBenchLines(cfg.benchOut, rep); err != nil {
@@ -208,7 +212,9 @@ func chaosRun(cfg chaosConfig) int {
 }
 
 // chaosGates evaluates the fault-tolerance contract after the run.
-func chaosGates(rep *report, fleet *chaosFleet, victim int, corpus, reference []string) bool {
+// victimStates holds each survivor's health state for the victim, read
+// just before the restart.
+func chaosGates(rep *report, fleet *chaosFleet, victim int, victimStates map[int]string, corpus, reference []string) bool {
 	failed := false
 	addGate := func(ok bool, format string, args ...any) {
 		verdict := "PASS: "
@@ -225,8 +231,17 @@ func chaosGates(rep *report, fleet *chaosFleet, victim int, corpus, reference []
 	addGate(rep.Counts.Transport == 0, "transport failures at survivors: %d (want 0)", rep.Counts.Transport)
 	addGate(rep.Counts.MissingRetry == 0, "429s without Retry-After: %d (want 0)", rep.Counts.MissingRetry)
 
-	// The survivors detected the rejoin: every peer is live again.
+	// The survivors detected the death: each one's health state machine
+	// had taken the victim down before it came back.
 	nodes := fleet.snapshot()
+	for i := range nodes {
+		if i != victim {
+			addGate(victimStates[i] == peercache.Down.String(),
+				"replica %d saw the victim as %q before its restart (want %q)", i, victimStates[i], peercache.Down)
+		}
+	}
+
+	// The survivors detected the rejoin: every peer is live again.
 	for i, n := range nodes {
 		if i == victim || n == nil {
 			continue
@@ -267,8 +282,8 @@ func chaosGates(rep *report, fleet *chaosFleet, victim int, corpus, reference []
 		st := n.client.Stats()
 		addGate(st.Hits > 0, "restarted replica recovered %d cache entries from peers (want > 0)", st.Hits)
 		rep.Gates = append(rep.Gates, fmt.Sprintf(
-			"info: restarted replica peer stats: hits=%d misses=%d errors=%d retries=%d breakerSkips=%d",
-			st.Hits, st.Misses, st.Errors, st.Retries, st.BreakerSkips))
+			"info: restarted replica peer stats: hits=%d misses=%d errors=%d retries=%d",
+			st.Hits, st.Misses, st.Errors, st.Retries))
 	}
 	return failed
 }
@@ -346,6 +361,23 @@ func (f *chaosFleet) kill(i int) {
 	}
 	_ = node.server.Close()
 	node.client.Close()
+}
+
+// peerStates returns the health state each running replica's peer
+// client holds for base.
+func (f *chaosFleet) peerStates(base string) map[int]string {
+	states := map[int]string{}
+	for i, n := range f.snapshot() {
+		if n == nil {
+			continue
+		}
+		for _, r := range n.client.Stats().Replicas {
+			if r.Base == base {
+				states[i] = r.State
+			}
+		}
+	}
+	return states
 }
 
 // snapshot returns the current node slice copy.

@@ -9,8 +9,7 @@
 //	            [-workers N] [-cache 4096] [-batch 16]
 //	            [-max-inflight N] [-max-queue N] [-rate R] [-burst B]
 //	            [-max-body BYTES] [-peers url,url] [-self url]
-//	            [-probe-interval 1s] [-replication 2] [-peer-retries 1]
-//	            [-breaker-threshold 5] [-breaker-cooldown 2s] [-negative-ttl 1s]
+//	            [-probe-interval 1s] [-replication 2] [-negative-ttl 1s]
 //
 // Endpoints (v1 API):
 //
@@ -25,11 +24,11 @@
 // Scale-out: starting each replica of a fleet with the same checkpoint
 // (-model), its own -self URL and the other replicas under -peers turns
 // the per-process analysis caches into a shared, fault-tolerant tier —
-// a local miss asks the key's owning replicas (rendezvous hashing over
-// the live fleet) before recomputing, locally computed reports
-// replicate to the key's other owners, health probes evict dead
-// replicas from the ownership ring, and per-peer circuit breakers with
-// bounded retries keep a sick peer from taxing the request path.
+// a local miss asks each of the key's live owning replicas once
+// (rendezvous hashing over the live fleet) before recomputing, locally
+// computed reports replicate to the key's other owners, and one health
+// state machine per peer, fed by probes and by real exchanges, takes a
+// failing replica out of the ownership ring until it passes two probes.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM, draining in-flight
 // requests for up to 10 seconds.
@@ -71,17 +70,18 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated base URLs of the other replicas; local cache misses ask the key's owning replica before recomputing (requires -self)")
 	self := flag.String("self", "", "this replica's own advertised base URL, as the peers list it (required with -peers)")
 	peerTimeout := flag.Duration("peer-timeout", 0, "per-exchange timeout for peer cache fills (0 = 500ms default)")
-	probeInterval := flag.Duration("probe-interval", 0, "peer health-probe period; down peers leave the ownership ring until they re-pass two probes (0 = 1s default, negative disables probing)")
+	probeInterval := flag.Duration("probe-interval", 0, "peer health-probe period; down peers leave the ownership ring until they re-pass two probes, so probing cannot be disabled (0 = 1s default)")
 	replication := flag.Int("replication", 0, "rendezvous owner-set size per cache key: locally computed reports replicate to this many owners (0 = 2 default, 1 disables replication)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive exchange failures that trip a peer's circuit breaker (0 = 5 default)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long a tripped breaker rejects exchanges before its half-open probe (0 = 2s default)")
-	peerRetries := flag.Int("peer-retries", 0, "additional ranked owners a failed peer fill tries, with exponential backoff (0 = 1 default, negative disables)")
 	negativeTTL := flag.Duration("negative-ttl", 0, "per-key suppression window after a failed or empty peer fill (0 = 1s default, negative disables)")
 	doVerify := flag.Bool("verify", false, "statically verify every suggested pragma; verdicts ride the response reports")
 	doRewrite := flag.Bool("rewrite", false, "enable the source-to-source rewrite stage and the POST /v1/rewrite endpoint")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/ (off by default; enable only on trusted networks)")
 	quiet := flag.Bool("quiet", false, "suppress the training progress line")
 	flag.Parse()
+	if *probeInterval < 0 {
+		fmt.Fprintln(os.Stderr, "graph2serve: -probe-interval must not be negative: only a passing probe readmits a down peer")
+		os.Exit(2)
+	}
 
 	engine, err := graph2par.NewEngine(graph2par.EngineConfig{
 		ModelPath:    *modelPath,
@@ -125,16 +125,13 @@ func main() {
 			}
 		}
 		peerClient, err := peercache.New(peercache.Config{
-			Self:             *self,
-			Peers:            list,
-			Timeout:          *peerTimeout,
-			Fingerprint:      engine.Fingerprint(),
-			Replication:      *replication,
-			ProbeInterval:    *probeInterval,
-			BreakerThreshold: *breakerThreshold,
-			BreakerCooldown:  *breakerCooldown,
-			Retries:          *peerRetries,
-			NegativeTTL:      *negativeTTL,
+			Self:          *self,
+			Peers:         list,
+			Timeout:       *peerTimeout,
+			Fingerprint:   engine.Fingerprint(),
+			Replication:   *replication,
+			ProbeInterval: *probeInterval,
+			NegativeTTL:   *negativeTTL,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "graph2serve:", err)

@@ -1,9 +1,9 @@
 // Package faultinject deterministically injects transport- and
 // handler-level failures into HTTP exchanges so the fleet's
-// fault-tolerance machinery (health probes, circuit breakers, retries,
-// replication) can be exercised — and its guarantees asserted — in
-// ordinary unit tests and in the graph2bench -chaos harness, instead of
-// waiting for production to produce the failures.
+// fault-tolerance machinery (the per-peer health state machine, owner
+// fallback, replication) can be exercised — and its guarantees
+// asserted — in ordinary unit tests and in the graph2bench -chaos
+// harness, instead of waiting for production to produce the failures.
 //
 // An Injector wraps either side of an exchange:
 //
@@ -166,8 +166,8 @@ var ErrDrop = errors.New("faultinject: connection dropped")
 var ErrPartitioned = errors.New("faultinject: host partitioned")
 
 // timeoutError implements net.Error's Timeout contract so callers that
-// special-case timeouts (http.Client, breakers) classify the injected
-// hang exactly like a real one.
+// special-case timeouts (http.Client) classify the injected hang
+// exactly like a real one.
 type timeoutError struct{}
 
 func (timeoutError) Error() string   { return "faultinject: injected timeout" }

@@ -29,7 +29,10 @@ import (
 // Both probe outcomes and real exchange outcomes drive the machine:
 // exchanges detect death faster than the probe timer under traffic,
 // probes detect recovery (a Down peer gets no exchanges) and death
-// during quiet periods.
+// during quiet periods. Only a probe moves a peer out of Down, so a
+// client with probing disabled never readmits one. A peer whose
+// /v1/healthz passes while its cache route fails keeps cycling
+// Down → Probing → Healthy, paying DownAfter failed exchanges per cycle.
 type State int32
 
 const (
@@ -53,16 +56,14 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// peer is one remote replica: its normalized base URL plus all the
-// per-peer fault-tolerance state (health, breaker) and counters.
+// peer is one remote replica: its normalized base URL plus its health
+// state and counters.
 type peer struct {
 	base string
 
 	mu    sync.Mutex // guards state + fails transitions
 	state State
 	fails int // consecutive failures (probes and exchanges)
-
-	br breaker
 
 	hits   atomic.Uint64 // exchanges answered 200
 	misses atomic.Uint64 // exchanges answered 404
@@ -150,9 +151,6 @@ func (c *Client) probeOne(p *peer) {
 		return
 	}
 	p.noteSuccess(true)
-	// A live answer is also recovery evidence for the breaker: reset it
-	// so the next exchange is not blocked waiting out a stale cooldown.
-	p.br.success()
 }
 
 // probeLoop drives ProbeOnce on the configured interval until Close.

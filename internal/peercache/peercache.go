@@ -20,16 +20,16 @@
 //     computed off-owner converge back onto their owners.
 //
 // The fleet is fault-tolerant end to end: membership is health-checked
-// (periodic /v1/healthz probes drive a per-peer healthy → suspect →
-// down → probing state machine, and ownership is computed over live
-// replicas only, so a dead peer's key space redistributes within one
-// detection instead of taxing every miss with a timeout), every peer
-// has a circuit breaker (consecutive-failure trip, half-open probe),
-// failed pulls retry against the next-ranked owner with exponential
-// backoff and deterministic jitter, and a short per-key negative-result
-// TTL keeps repeated misses of one key from re-dialing a dead owner
-// between breaker trips. All failures degrade to local recompute: the
-// tier is an accelerator, never a dependency.
+// (periodic /v1/healthz probes and the outcomes of real exchanges drive
+// one per-peer healthy → suspect → down → probing state machine, and
+// ownership is computed over live replicas only, so a dead peer's key
+// space redistributes within one detection instead of taxing every miss
+// with a timeout), a pull asks each live owner once in rank order with
+// exponential backoff and deterministic jitter before each lower-ranked
+// owner, and a short per-key negative-result TTL keeps repeated misses
+// of one key from re-dialing owners that just missed or failed. All
+// failures degrade to local recompute: the tier is an accelerator,
+// never a dependency.
 //
 // Concurrent identical misses are deduplicated in-process: one peer
 // exchange per key is in flight at a time, later callers wait for and
@@ -71,16 +71,8 @@ const (
 	// DefaultReplication is the rendezvous owner-set size (primary +
 	// one replica).
 	DefaultReplication = 2
-	// DefaultBreakerThreshold is the consecutive-failure trip point.
-	DefaultBreakerThreshold = 5
-	// DefaultBreakerCooldown is how long a tripped breaker stays open
-	// before admitting its half-open probe.
-	DefaultBreakerCooldown = 2 * time.Second
-	// DefaultRetries is how many additional ranked owners a failed pull
-	// tries.
-	DefaultRetries = 1
-	// DefaultRetryBackoff is the base backoff before a retry (doubled
-	// per attempt, plus deterministic jitter).
+	// DefaultRetryBackoff is the base backoff before asking a
+	// lower-ranked owner (doubled per owner, plus deterministic jitter).
 	DefaultRetryBackoff = 5 * time.Millisecond
 	// DefaultNegativeTTL is how long a failed or empty pull suppresses
 	// re-dialing for the same key.
@@ -122,7 +114,8 @@ type Config struct {
 	Replication int
 
 	// ProbeInterval is the background health-probe period; negative
-	// disables the background loop (tests drive ProbeOnce directly).
+	// disables the background loop, and then only explicit ProbeOnce
+	// calls readmit a Down peer (tests drive ProbeOnce directly).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe.
 	ProbeTimeout time.Duration
@@ -130,17 +123,8 @@ type Config struct {
 	// peer Down (excluded from ownership until it re-passes two probes).
 	DownAfter int
 
-	// BreakerThreshold trips a peer's circuit breaker after this many
-	// consecutive exchange failures; BreakerCooldown is how long it
-	// stays open before the half-open probe.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
-	// Retries is how many additional ranked owners a failed pull
-	// attempts (0 means DefaultRetries; negative disables retries).
-	// RetryBackoff is the base delay before each retry, doubled per
-	// attempt with deterministic per-key jitter.
-	Retries      int
+	// RetryBackoff is the base delay before each owner after the first,
+	// doubled per owner with deterministic per-key jitter.
 	RetryBackoff time.Duration
 
 	// NegativeTTL suppresses re-dialing for a key after a failed or
@@ -168,7 +152,6 @@ type Client struct {
 	peers       []*peer
 	replication int
 	downAfter   int
-	retries     int
 	backoff     time.Duration
 	negTTL      time.Duration
 	fingerprint string
@@ -188,7 +171,6 @@ type Client struct {
 	misses       atomic.Uint64
 	errors       atomic.Uint64
 	negativeHits atomic.Uint64
-	breakerSkips atomic.Uint64
 	retriesUsed  atomic.Uint64
 	warmsSent    atomic.Uint64
 	warmErrors   atomic.Uint64
@@ -217,16 +199,12 @@ func New(cfg Config) (*Client, error) {
 		self:        self,
 		replication: defaulted(cfg.Replication, DefaultReplication),
 		downAfter:   defaulted(cfg.DownAfter, DefaultDownAfter),
-		retries:     defaulted(cfg.Retries, DefaultRetries),
 		backoff:     defaultedDur(cfg.RetryBackoff, DefaultRetryBackoff),
 		negTTL:      defaultedDur(cfg.NegativeTTL, DefaultNegativeTTL),
 		fingerprint: cfg.Fingerprint,
 		inflight:    make(map[string]*call),
 		negative:    make(map[string]time.Time),
 		stop:        make(chan struct{}),
-	}
-	if c.retries < 0 {
-		c.retries = 0
 	}
 	transport := cfg.Transport
 	if transport == nil {
@@ -247,8 +225,6 @@ func New(cfg Config) (*Client, error) {
 	c.http = &http.Client{Timeout: defaultedDur(cfg.Timeout, DefaultTimeout), Transport: transport}
 	c.probe = &http.Client{Timeout: defaultedDur(cfg.ProbeTimeout, DefaultProbeTimeout), Transport: transport}
 
-	threshold := defaulted(cfg.BreakerThreshold, DefaultBreakerThreshold)
-	cooldown := defaultedDur(cfg.BreakerCooldown, DefaultBreakerCooldown)
 	seen := map[string]bool{self: true}
 	for _, raw := range cfg.Peers {
 		base, err := normalizeBase(raw)
@@ -259,10 +235,7 @@ func New(cfg Config) (*Client, error) {
 			continue
 		}
 		seen[base] = true
-		c.peers = append(c.peers, &peer{
-			base: base,
-			br:   breaker{threshold: threshold, cooldown: cooldown},
-		})
+		c.peers = append(c.peers, &peer{base: base})
 	}
 
 	if c.fingerprint != "" {
@@ -284,8 +257,7 @@ func (c *Client) Close() {
 	c.wg.Wait()
 }
 
-// defaulted maps 0 to def and negative to 0 ("disabled" where the knob
-// supports it).
+// defaulted maps the zero value of a knob to its default.
 func defaulted(v, def int) int {
 	if v == 0 {
 		return def
@@ -371,6 +343,18 @@ func (c *Client) Owner(key string) (string, bool) {
 	return top.base, top.p != nil
 }
 
+// peerOwners returns the key's live owners other than self, best
+// first: the replicas a fill asks and a warm push replicates to.
+func (c *Client) peerOwners(key string) []*peer {
+	var owners []*peer
+	for _, cand := range c.ranked(key, c.replication) {
+		if cand.p != nil {
+			owners = append(owners, cand.p)
+		}
+	}
+	return owners
+}
+
 // Owners returns the key's full ranked owner set (primary first), over
 // self + the live peers.
 func (c *Client) Owners(key string) []string {
@@ -397,13 +381,8 @@ func rendezvousScore(replica, key string) uint64 {
 // only live owner, the owners are missing it, negative-cached, any
 // transport or decode failure) tells the engine to recompute locally.
 func (c *Client) Fill(key string) (graph2par.LoopReport, bool) {
-	var cands []*peer
-	for _, cand := range c.ranked(key, c.replication) {
-		if cand.p != nil {
-			cands = append(cands, cand.p)
-		}
-	}
-	if len(cands) == 0 {
+	owners := c.peerOwners(key)
+	if len(owners) == 0 {
 		return graph2par.LoopReport{}, false
 	}
 	if c.negTTL > 0 && c.negativeHit(key) {
@@ -425,7 +404,7 @@ func (c *Client) Fill(key string) (graph2par.LoopReport, bool) {
 	c.inflight[key] = cl
 	c.mu.Unlock()
 
-	cl.report, cl.ok = c.fetchRanked(key, cands)
+	cl.report, cl.ok = c.fetchRanked(key, owners)
 	if !cl.ok && c.negTTL > 0 {
 		// Negative result: remember it briefly so the next miss of this
 		// key (and every single-flight generation after this one) does not
@@ -470,55 +449,30 @@ func (c *Client) setNegative(key string) {
 	c.negative[key] = now.Add(c.negTTL)
 }
 
-// fetchOne's outcome classification.
-type fetchStatus int
-
-const (
-	fetchHit  fetchStatus = iota // 200 + clean decode
-	fetchMiss                    // 404: the owner answered but has no entry
-	fetchErr                     // transport, 5xx or decode failure
-)
-
-// fetchRanked tries the key's owners in rank order, skipping open
-// breakers, until a bounded attempt budget (1 + Retries exchanges) is
-// spent. Retries sleep an exponential backoff with deterministic
-// per-key jitter first, so a fleet-wide stampede onto the second-ranked
-// owner after a primary death is spread instead of synchronized.
-func (c *Client) fetchRanked(key string, cands []*peer) (graph2par.LoopReport, bool) {
-	attempts := 1 + c.retries
-	tried := 0
-	for _, p := range cands {
-		if tried >= attempts {
-			break
-		}
-		if !p.br.allow(time.Now()) {
-			c.breakerSkips.Add(1)
-			continue
-		}
-		if tried > 0 {
+// fetchRanked asks each of the key's live owners once, in rank order,
+// until one answers with the report: after a miss the co-owner may hold
+// what the primary lost (e.g. across a restart). Every owner after the
+// first is preceded by an exponential backoff with deterministic
+// per-key jitter, so a fleet-wide stampede onto the second-ranked owner
+// after a primary death is spread instead of synchronized.
+func (c *Client) fetchRanked(key string, owners []*peer) (graph2par.LoopReport, bool) {
+	for i, p := range owners {
+		if i > 0 {
 			c.retriesUsed.Add(1)
-			time.Sleep(retryDelay(c.backoff, key, tried))
+			time.Sleep(retryDelay(c.backoff, key, i))
 		}
-		tried++
-		report, st := c.fetchOne(p, key)
-		switch st {
-		case fetchHit:
+		if report, ok := c.fetchOne(p, key); ok {
 			return report, true
-		case fetchMiss:
-			// Try the next-ranked owner: with replication the co-owner may
-			// hold what the primary lost (e.g. across a restart).
-		case fetchErr:
-			// Health/breaker already updated by fetchOne; next candidate.
 		}
 	}
 	return graph2par.LoopReport{}, false
 }
 
-// retryDelay computes the backoff before retry #n (1-based): base·2ⁿ⁻¹
-// plus a deterministic jitter drawn from (key, n) — deterministic so
-// tests and chaos runs replay identically, jittered so the replicas of
-// a fleet that all lost the same primary do not re-dial the co-owner in
-// lockstep.
+// retryDelay computes the backoff before a fill asks its owner #n
+// (0-based; owner #0 is asked at once): base·2ⁿ⁻¹ plus a deterministic
+// jitter drawn from (key, n) — deterministic so tests and chaos runs
+// replay identically, jittered so the replicas of a fleet that all lost
+// the same primary do not re-dial the co-owner in lockstep.
 func retryDelay(base time.Duration, key string, n int) time.Duration {
 	shift := n - 1
 	if shift > 6 {
@@ -533,14 +487,16 @@ func retryDelay(base time.Duration, key string, n int) time.Duration {
 }
 
 // fetchOne performs one GET /v1/cache/<key> against one owner, feeding
-// the outcome into the peer's health and breaker state.
-func (c *Client) fetchOne(p *peer, key string) (graph2par.LoopReport, fetchStatus) {
-	fail := func() (graph2par.LoopReport, fetchStatus) {
+// the outcome into the peer's health state. ok is true only for a 200
+// that decodes; a 404 (the owner answered but has no entry) and a
+// failure (transport, 5xx or decode) both send the caller on to the
+// next owner.
+func (c *Client) fetchOne(p *peer, key string) (graph2par.LoopReport, bool) {
+	fail := func() (graph2par.LoopReport, bool) {
 		c.errors.Add(1)
 		p.errors.Add(1)
 		p.noteFailure(c.downAfter)
-		p.br.failure(time.Now())
-		return graph2par.LoopReport{}, fetchErr
+		return graph2par.LoopReport{}, false
 	}
 	resp, err := c.http.Get(p.base + "/v1/cache/" + key)
 	if err != nil {
@@ -554,8 +510,7 @@ func (c *Client) fetchOne(p *peer, key string) (graph2par.LoopReport, fetchStatu
 		c.misses.Add(1)
 		p.misses.Add(1)
 		p.noteSuccess(false)
-		p.br.success()
-		return graph2par.LoopReport{}, fetchMiss
+		return graph2par.LoopReport{}, false
 	default:
 		io.Copy(io.Discard, resp.Body)
 		return fail()
@@ -573,11 +528,10 @@ func (c *Client) fetchOne(p *peer, key string) (graph2par.LoopReport, fetchStatu
 	c.hits.Add(1)
 	p.hits.Add(1)
 	p.noteSuccess(false)
-	p.br.success()
-	return report, fetchHit
+	return report, true
 }
 
-// Stats snapshots every counter plus the per-peer health/breaker state,
+// Stats snapshots every counter plus the per-peer health state,
 // in the shape /v1/stats reports (serve.ServeConfig.PeerStats).
 func (c *Client) Stats() serve.PeerStats {
 	st := serve.PeerStats{
@@ -586,7 +540,6 @@ func (c *Client) Stats() serve.PeerStats {
 		Misses:       c.misses.Load(),
 		Errors:       c.errors.Load(),
 		NegativeHits: c.negativeHits.Load(),
-		BreakerSkips: c.breakerSkips.Load(),
 		Retries:      c.retriesUsed.Load(),
 		WarmsSent:    c.warmsSent.Load(),
 		WarmErrors:   c.warmErrors.Load(),
@@ -601,7 +554,6 @@ func (c *Client) Stats() serve.PeerStats {
 			Base:     p.base,
 			State:    state.String(),
 			Failures: fails,
-			Breaker:  p.br.snapshot(),
 			Hits:     p.hits.Load(),
 			Misses:   p.misses.Load(),
 			Errors:   p.errors.Load(),

@@ -241,7 +241,7 @@ func TestFetchDrainsBodyOnDecodeFailure(t *testing.T) {
 
 // TestNegativeTTL: a failed pull suppresses re-dialing the same key
 // until the TTL lapses, so repeated misses of one hot key cannot hammer
-// a down owner between breaker trips.
+// an owner that just missed or failed it.
 func TestNegativeTTL(t *testing.T) {
 	var reqs atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -336,63 +336,69 @@ func TestHealthStateMachine(t *testing.T) {
 	}
 }
 
-// TestBreakerTripAndRecover: consecutive exchange failures trip the
-// peer's breaker (subsequent fills skip the peer without dialing), the
-// cooldown admits one half-open probe, and its success closes the
-// breaker.
-func TestBreakerTripAndRecover(t *testing.T) {
+// TestExchangeFailuresTakePeerDown drives the health machine from real
+// exchanges alone: a peer whose healthz passes but whose cache route
+// fails goes down after DefaultDownAfter failed fills, the next fill
+// skips it without dialing, and two passing probes readmit it.
+func TestExchangeFailuresTakePeerDown(t *testing.T) {
 	var broken atomic.Bool
 	broken.Store(true)
 	var reqs atomic.Int32
 	canned, _ := json.Marshal(graph2par.LoopReport{Line: 9})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		reqs.Add(1)
-		if broken.Load() {
+		switch {
+		case r.URL.Path == "/v1/healthz":
+			fmt.Fprint(w, `{"status":"ok"}`)
+		case broken.Load():
 			http.Error(w, "wedged", http.StatusInternalServerError)
-			return
+		default:
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(canned)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(canned)
 	}))
 	defer srv.Close()
 
 	c := newTestClient(t, Config{
 		Self: "http://self.invalid:1", Peers: []string{srv.URL},
-		BreakerThreshold: 2, BreakerCooldown: 40 * time.Millisecond,
-		NegativeTTL: -1,
-		DownAfter:   100, // keep health out of the picture: this test isolates the breaker
+		NegativeTTL: -1, // each Fill must really dial
 	})
+	state := func() string { return c.Stats().Replicas[0].State }
 	key := peerOwnedKey(t, c)
 
-	c.Fill(key)
-	c.Fill(key) // second consecutive 500: breaker trips
-	if got := c.Stats().Replicas[0].Breaker; got != "open" {
-		t.Fatalf("after %d failures: breaker %q, want open", 2, got)
+	for i := 0; i < DefaultDownAfter; i++ {
+		if _, ok := c.Fill(key); ok {
+			t.Fatalf("fill %d succeeded against a 500", i+1)
+		}
+	}
+	if got := state(); got != "down" {
+		t.Fatalf("after %d failed fills: state %q, want down", DefaultDownAfter, got)
 	}
 	before := reqs.Load()
 	if _, ok := c.Fill(key); ok {
-		t.Fatal("fill succeeded against an open breaker")
+		t.Fatal("fill succeeded with its only peer down")
 	}
-	if reqs.Load() != before {
-		t.Fatal("open breaker still dialed the peer")
-	}
-	if st := c.Stats(); st.BreakerSkips == 0 {
-		t.Error("breakerSkips did not count the skipped candidate")
+	if n := reqs.Load() - before; n != 0 {
+		t.Fatalf("fill dialed a down peer %d times, want 0", n)
 	}
 
 	broken.Store(false)
-	time.Sleep(50 * time.Millisecond) // cooldown elapses
-	if r, ok := c.Fill(key); !ok || r.Line != 9 {
-		t.Fatalf("half-open probe fill: ok=%v line=%d, want hit", ok, r.Line)
+	c.ProbeOnce()
+	if got := state(); got != "probing" {
+		t.Fatalf("after 1 passing probe: state %q, want probing", got)
 	}
-	if got := c.Stats().Replicas[0].Breaker; got != "closed" {
-		t.Errorf("after successful probe: breaker %q, want closed", got)
+	c.ProbeOnce()
+	if got := state(); got != "healthy" {
+		t.Fatalf("after 2 passing probes: state %q, want healthy", got)
+	}
+	if r, ok := c.Fill(key); !ok || r.Line != 9 {
+		t.Fatalf("fill after readmission: ok=%v line=%d, want a hit with line 9", ok, r.Line)
 	}
 }
 
 // TestRetryFallsToSecondOwner: when the primary owner is unreachable,
-// the fill retries against the next-ranked owner (the replica) and
-// succeeds — no request pays more than the bounded attempt budget.
+// the fill moves on to the next-ranked owner (the replica) and
+// succeeds.
 func TestRetryFallsToSecondOwner(t *testing.T) {
 	canned, _ := json.Marshal(graph2par.LoopReport{Line: 11})
 	good := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -431,6 +437,38 @@ func TestRetryFallsToSecondOwner(t *testing.T) {
 	st := c.Stats()
 	if st.Retries != 1 || st.Errors != 1 || st.Hits != 1 {
 		t.Errorf("retries=%d errors=%d hits=%d, want 1/1/1", st.Retries, st.Errors, st.Hits)
+	}
+}
+
+// TestFillAsksEachLiveOwnerOnce: with an owner set past two, a fill
+// that keeps missing asks every live owner, each exactly once.
+func TestFillAsksEachLiveOwnerOnce(t *testing.T) {
+	var gets [3]atomic.Int32
+	var urls []string
+	for i := range gets {
+		n := &gets[i]
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			n.Add(1)
+			http.Error(w, "{}", http.StatusNotFound)
+		}))
+		defer srv.Close()
+		urls = append(urls, srv.URL)
+	}
+
+	c := newTestClient(t, Config{
+		Self: "http://self.invalid:1", Peers: urls,
+		Replication: 4, RetryBackoff: time.Millisecond, NegativeTTL: -1,
+	})
+	if _, ok := c.Fill(strings.Repeat("cd", 32)); ok {
+		t.Fatal("fill hit with every owner answering 404")
+	}
+	for i := range gets {
+		if n := gets[i].Load(); n != 1 {
+			t.Errorf("owner %d saw %d GETs, want 1", i, n)
+		}
+	}
+	if st := c.Stats(); st.Misses != 3 || st.Retries != 2 {
+		t.Errorf("misses=%d retries=%d, want 3 and 2", st.Misses, st.Retries)
 	}
 }
 
@@ -513,7 +551,6 @@ func TestFaultInjectedExchanges(t *testing.T) {
 	c := newTestClient(t, Config{
 		Self: "http://self.invalid:1", Peers: []string{srv.URL},
 		Transport: inj.Transport(nil), NegativeTTL: -1, DownAfter: 100,
-		BreakerThreshold: 100, // isolate the injection path from the breaker
 	})
 	key := peerOwnedKey(t, c)
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"time"
 
 	"graph2par"
 	"graph2par/internal/serve"
@@ -40,7 +39,7 @@ func (c *Client) Warm(key string, r graph2par.LoopReport) {
 	if c.warmCh == nil {
 		return // warming disabled (no fingerprint configured)
 	}
-	if len(c.warmTargets(key)) == 0 {
+	if len(c.peerOwners(key)) == 0 {
 		return // sole owner of the key (or no live peers): nothing to push
 	}
 	select {
@@ -48,17 +47,6 @@ func (c *Client) Warm(key string, r graph2par.LoopReport) {
 	default:
 		c.warmDropped.Add(1)
 	}
-}
-
-// warmTargets resolves the key's live owners excluding self.
-func (c *Client) warmTargets(key string) []*peer {
-	var targets []*peer
-	for _, cand := range c.ranked(key, c.replication) {
-		if cand.p != nil {
-			targets = append(targets, cand.p)
-		}
-	}
-	return targets
 }
 
 // Flush blocks until every warm push enqueued before the call has been
@@ -100,10 +88,9 @@ func (c *Client) warmLoop() {
 
 // pushWarm POSTs one report to each of the key's live co-owners.
 // Ownership is re-resolved at push time (membership may have changed
-// since enqueue), targets with open breakers are skipped, and outcomes
-// feed the same health/breaker state as fetches.
+// since enqueue), and outcomes feed the same health state as fetches.
 func (c *Client) pushWarm(item warmItem) {
-	targets := c.warmTargets(item.key)
+	targets := c.peerOwners(item.key)
 	if len(targets) == 0 {
 		return
 	}
@@ -113,10 +100,6 @@ func (c *Client) pushWarm(item warmItem) {
 		return
 	}
 	for _, p := range targets {
-		if !p.br.allow(time.Now()) {
-			c.breakerSkips.Add(1)
-			continue
-		}
 		req, err := http.NewRequest(http.MethodPost, p.base+"/v1/cache/"+item.key, bytes.NewReader(body))
 		if err != nil {
 			c.warmErrors.Add(1)
@@ -129,7 +112,6 @@ func (c *Client) pushWarm(item warmItem) {
 			c.warmErrors.Add(1)
 			p.errors.Add(1)
 			p.noteFailure(c.downAfter)
-			p.br.failure(time.Now())
 			continue
 		}
 		io.Copy(io.Discard, resp.Body)
@@ -138,7 +120,6 @@ func (c *Client) pushWarm(item warmItem) {
 			c.warmsSent.Add(1)
 			p.warms.Add(1)
 			p.noteSuccess(false)
-			p.br.success()
 			continue
 		}
 		// A 4xx/5xx answer: the peer is alive but refused (e.g. fingerprint
@@ -146,6 +127,5 @@ func (c *Client) pushWarm(item warmItem) {
 		// only counts as a warm error.
 		c.warmErrors.Add(1)
 		p.noteSuccess(false)
-		p.br.success()
 	}
 }

@@ -16,6 +16,8 @@
 //	GET  /v1/cache/<key>    raw cached loop report by content-addressed key (peer cache pull)
 //	POST /v1/cache/<key>    install a replicated loop report, fingerprint-authenticated (peer cache push)
 //
+// Any other path is a 404 with code "not_found".
+//
 // Production ingress hygiene is uniform across the API endpoints:
 // requests must be application/json (415), bodies are capped (413),
 // wrong methods get a 405 with an Allow header, per-client token buckets
@@ -59,21 +61,20 @@ type PeerStats struct {
 	// followed); Errors counts failed peer exchanges (network, decode —
 	// also followed by local recompute).
 	Hits, Misses, Errors uint64
-	// NegativeHits counts pulls suppressed by the negative-result TTL,
-	// BreakerSkips candidate owners skipped on an open circuit breaker,
-	// Retries pulls that fell through to a lower-ranked owner.
-	NegativeHits, BreakerSkips, Retries uint64
+	// NegativeHits counts pulls suppressed by the negative-result TTL;
+	// Retries counts exchanges with a lower-ranked owner after the
+	// owner above it missed or failed.
+	NegativeHits, Retries uint64
 	// WarmsSent/WarmErrors/WarmDropped count the push-replication side.
 	WarmsSent, WarmErrors, WarmDropped uint64
-	// Replicas is the per-peer health/breaker state.
+	// Replicas is the per-peer health state.
 	Replicas []PeerReplica
 }
 
 // PeerReplica is one remote replica's observable fault-tolerance state.
 type PeerReplica struct {
 	Base     string `json:"base"`
-	State    string `json:"state"`   // healthy | suspect | down | probing
-	Breaker  string `json:"breaker"` // closed | open | half-open
+	State    string `json:"state"` // healthy | suspect | down | probing
 	Failures int    `json:"failures"`
 	Hits     uint64 `json:"hits"`
 	Misses   uint64 `json:"misses"`
@@ -177,6 +178,8 @@ func NewWithConfig(engine *graph2par.Engine, cfg ServeConfig) *Server {
 func (s *Server) Close() {}
 
 // Handler returns the routed HTTP handler for the /v1 route family.
+// Every other path gets a 404 in the same error envelope as any other
+// failure, so clients can read it by code.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/analyze", s.endpoint(&s.analyzeReqs, s.analyzeAPI))
@@ -185,6 +188,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/v1/cache/", s.handleCacheKey)
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		s.writeError(w, &apiError{status: http.StatusNotFound, code: codeNotFound,
+			message: "no such route: " + r.URL.Path})
+	})
 	return mux
 }
 
@@ -226,7 +233,7 @@ type rateLimitInfo struct {
 
 // peerInfo reports the peer-fill cache tier from both sides: as a client
 // (pulls against owning replicas, with the fault-tolerance machinery's
-// counters and each peer's health/breaker state) and as an owner (cache
+// counters and each peer's health state) and as an owner (cache
 // lookups served to — or 404ed for — other replicas, warm pushes
 // accepted or rejected).
 type peerInfo struct {
@@ -237,7 +244,6 @@ type peerInfo struct {
 	Misses       uint64        `json:"misses"`
 	Errors       uint64        `json:"errors"`
 	NegativeHits uint64        `json:"negativeHits,omitempty"`
-	BreakerSkips uint64        `json:"breakerSkips,omitempty"`
 	Retries      uint64        `json:"retries,omitempty"`
 	WarmsSent    uint64        `json:"warmsSent,omitempty"`
 	WarmErrors   uint64        `json:"warmErrors,omitempty"`
@@ -344,7 +350,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Peer.Misses = ps.Misses
 		resp.Peer.Errors = ps.Errors
 		resp.Peer.NegativeHits = ps.NegativeHits
-		resp.Peer.BreakerSkips = ps.BreakerSkips
 		resp.Peer.Retries = ps.Retries
 		resp.Peer.WarmsSent = ps.WarmsSent
 		resp.Peer.WarmErrors = ps.WarmErrors

@@ -218,9 +218,29 @@ func TestAnalyzeRejectsBadInput(t *testing.T) {
 		t.Errorf("405 Allow = %q, want POST", allow)
 	}
 
-	// only the /v1 routes exist
-	if code := postRaw(t, ts.URL+"/analyze", env); code != http.StatusNotFound {
-		t.Errorf("POST /analyze: status = %d, want 404", code)
+	// only the /v1 routes exist, and any other path gets the error
+	// envelope like every other failure
+	for _, route := range []struct{ method, path string }{
+		{http.MethodPost, "/analyze"},
+		{http.MethodGet, "/v1/nope"},
+	} {
+		req, err := http.NewRequest(route.method, ts.URL+route.path, strings.NewReader(env))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorEnvelope
+		decodeBody(t, resp, &e)
+		if resp.StatusCode != http.StatusNotFound || e.Error.Code != codeNotFound {
+			t.Errorf("%s %s: status %d code %q, want 404 %q", route.method, route.path, resp.StatusCode, e.Error.Code, codeNotFound)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s %s: Content-Type %q, want application/json", route.method, route.path, ct)
+		}
 	}
 }
 
