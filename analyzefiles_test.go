@@ -311,39 +311,48 @@ func TestAnalyzeFilesCachedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// batchedEngine returns a copy of the shared test engine with the given
-// inference batch bound (1 = unbatched, the pre-batching pipeline).
-func batchedEngine(t *testing.T, workers, batch int) *Engine {
+// corpusLoops is the number of loops corpusFiles writes into each file.
+const corpusLoops = 5
+
+// analyzePerGraph analyzes files on a copy of the shared test engine whose
+// worker pool is as wide as the corpus has loops: analyzeJobs' chunk,
+// ⌈misses/workers⌉, is then 1, so every forward pass scores one graph.
+// It is the reference the batched runs are checked against.
+func analyzePerGraph(t *testing.T, files map[string]string) map[string][]LoopReport {
 	t.Helper()
-	e := *engine(t)
-	e.SetWorkers(workers)
-	e.SetBatchSize(batch)
-	return &e
+	e := withWorkers(t, len(files)*corpusLoops)
+	out, err := e.AnalyzeFiles(files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loops := 0
+	for _, rs := range out {
+		loops += len(rs)
+	}
+	if loops > e.Workers() {
+		t.Fatalf("reference engine has %d workers for %d loops: its forward passes batch several graphs", e.Workers(), loops)
+	}
+	return out
 }
 
 // TestAnalyzeFilesBatchedByteIdentical is the acceptance check for
 // batched inference: the size-bucketed PredictBatch pipeline must produce
-// byte-identical reports to the unbatched per-loop pipeline, across batch
-// bounds that exercise partial batches, single-graph batches and batches
-// spanning many files.
+// byte-identical reports to one forward pass per graph. Over these 40
+// loops, 1 and 2 workers score chunks of 16, 16 and 8 graphs (full
+// DefaultBatchSize batches and a partial one), 3 workers chunks of 14, 14
+// and 12, and 8 workers chunks of 5; the node-count sort puts loops of
+// several files into one chunk.
 func TestAnalyzeFilesBatchedByteIdentical(t *testing.T) {
 	files := corpusFiles(8)
-	unbatched, err := batchedEngine(t, 4, 1).AnalyzeFiles(files)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range []int{2, 3, 16, 1024} {
-		got, err := batchedEngine(t, 4, batch).AnalyzeFiles(files)
+	perGraph := analyzePerGraph(t, files)
+	for _, workers := range []int{1, 2, 3, 8} {
+		got, err := withWorkers(t, workers).AnalyzeFiles(files)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(unbatched, got) {
-			t.Errorf("BatchSize=%d: batched reports differ from unbatched", batch)
+		if !reflect.DeepEqual(perGraph, got) {
+			t.Errorf("Workers=%d: batched reports differ from one graph per forward pass", workers)
 		}
-	}
-	// The zero value must resolve to DefaultBatchSize, not to "off".
-	if e := batchedEngine(t, 4, 0); e.BatchSize() != DefaultBatchSize {
-		t.Errorf("BatchSize() = %d after SetBatchSize(0), want %d", e.BatchSize(), DefaultBatchSize)
 	}
 }
 
@@ -351,33 +360,33 @@ func TestAnalyzeFilesBatchedByteIdentical(t *testing.T) {
 // same invariant.
 func TestAnalyzeSourceBatchedMatchesUnbatched(t *testing.T) {
 	src := corpusFiles(1)["file_00.c"]
-	unbatched, err := batchedEngine(t, 2, 1).AnalyzeSource(src)
+	// One worker per loop: one graph per forward pass.
+	unbatched, err := withWorkers(t, corpusLoops).AnalyzeSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := batchedEngine(t, 2, 4).AnalyzeSource(src)
+	if len(unbatched) != corpusLoops {
+		t.Fatalf("loops = %d, want %d", len(unbatched), corpusLoops)
+	}
+	batched, err := withWorkers(t, 2).AnalyzeSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(unbatched, batched) {
-		t.Error("batched AnalyzeSource differs from unbatched")
+		t.Error("batched AnalyzeSource differs from one graph per forward pass")
 	}
 }
 
 // TestAnalyzeFilesBatchedCachedByteIdentical composes the two hot-path
 // optimizations: with both the analysis cache and batching on, the cold
 // pass (misses flow through PredictBatch) and the warm pass (all hits,
-// no inference at all) must match the plain engine byte for byte, and the
-// cache counters must show the same one-Get-per-loop, one-Put-per-miss
-// trajectory as the unbatched cache path.
+// no inference at all) must match the uncached one-graph-per-pass engine
+// byte for byte, and the cache counters must show one Get per loop and
+// one Put per miss.
 func TestAnalyzeFilesBatchedCachedByteIdentical(t *testing.T) {
 	files := corpusFiles(6)
-	plain, err := batchedEngine(t, 4, 1).AnalyzeFiles(files)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := batchedEngine(t, 4, 4)
-	e.SetCacheSize(1024)
+	plain := analyzePerGraph(t, files)
+	e := cachedEngine(t, 4, 1024)
 	cold, err := e.AnalyzeFiles(files)
 	if err != nil {
 		t.Fatal(err)
@@ -387,10 +396,10 @@ func TestAnalyzeFilesBatchedCachedByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(plain, cold) {
-		t.Error("cold batched+cached run differs from unbatched uncached run")
+		t.Error("cold batched+cached run differs from one-graph-per-pass uncached run")
 	}
 	if !reflect.DeepEqual(plain, warm) {
-		t.Error("warm batched+cached run differs from unbatched uncached run")
+		t.Error("warm batched+cached run differs from one-graph-per-pass uncached run")
 	}
 	totalLoops := 0
 	for name := range plain {
@@ -403,25 +412,25 @@ func TestAnalyzeFilesBatchedCachedByteIdentical(t *testing.T) {
 	if st.Misses != uint64(totalLoops) || st.Hits != uint64(totalLoops) {
 		t.Errorf("cache counters misses=%d hits=%d, want %d each", st.Misses, st.Hits, totalLoops)
 	}
+	if st.Entries != totalLoops {
+		t.Errorf("entries = %d, want %d (one Put per miss)", st.Entries, totalLoops)
+	}
 }
 
 // TestAnalyzeFilesBatchedDeterministicAcrossWorkers races the batched
 // pipeline (under -race in CI): batches dispatched over 8 workers must
-// reproduce the serial unbatched output exactly, pass after pass.
+// reproduce the one-graph-per-pass output exactly, pass after pass.
 func TestAnalyzeFilesBatchedDeterministicAcrossWorkers(t *testing.T) {
 	files := corpusFiles(8)
-	serial, err := batchedEngine(t, 1, 1).AnalyzeFiles(files)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := batchedEngine(t, 8, 3)
+	perGraph := analyzePerGraph(t, files)
+	e := withWorkers(t, 8)
 	for pass := 0; pass < 2; pass++ {
 		got, err := e.AnalyzeFiles(files)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(serial, got) {
-			t.Errorf("pass %d: batched concurrent run differs from serial unbatched run", pass)
+		if !reflect.DeepEqual(perGraph, got) {
+			t.Errorf("pass %d: batched concurrent run differs from one graph per forward pass", pass)
 		}
 	}
 }

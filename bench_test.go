@@ -220,18 +220,16 @@ func analysisEngine(b *testing.B) *Engine {
 }
 
 // benchCorpusSize is the corpus the AnalyzeFiles benchmark family shares:
-// all four variants (Serial/Parallel/Cached/Batched) analyze the same 32
-// files so their ns/op are directly comparable.
+// all three variants (Serial/Batched/Cached) analyze the same 32 files so
+// their ns/op are directly comparable.
 const benchCorpusSize = 32
 
 // benchmarkAnalyzeFiles measures one full corpus analysis pass — parse,
-// aug-AST build, HGT inference, tool cross-checks — over the shared
-// 32-file corpus with the given worker-pool and inference-batch bounds
-// (batch 1 = one forward pass per loop, the pre-batching pipeline).
-func benchmarkAnalyzeFiles(b *testing.B, workers, batch int) {
+// aug-AST build, batched HGT inference, tool cross-checks — over the
+// shared 32-file corpus with the given worker-pool bound.
+func benchmarkAnalyzeFiles(b *testing.B, workers int) {
 	e := *analysisEngine(b)
 	e.SetWorkers(workers)
-	e.SetBatchSize(batch)
 	files := corpusFiles(benchCorpusSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -245,22 +243,13 @@ func benchmarkAnalyzeFiles(b *testing.B, workers, batch int) {
 	}
 }
 
-// BenchmarkAnalyzeFilesSerial is the Workers=1, unbatched baseline.
-func BenchmarkAnalyzeFilesSerial(b *testing.B) { benchmarkAnalyzeFiles(b, 1, 1) }
+// BenchmarkAnalyzeFilesSerial is the Workers=1 baseline.
+func BenchmarkAnalyzeFilesSerial(b *testing.B) { benchmarkAnalyzeFiles(b, 1) }
 
-// BenchmarkAnalyzeFilesParallel runs the same corpus unbatched with a full
-// GOMAXPROCS pool; the ratio to Serial is the measured speedup of the
-// concurrent per-loop pipeline.
-func BenchmarkAnalyzeFilesParallel(b *testing.B) {
-	benchmarkAnalyzeFiles(b, runtime.GOMAXPROCS(0), 1)
-}
-
-// BenchmarkAnalyzeFilesBatched runs the same corpus and the same
-// GOMAXPROCS pool with size-bucketed batched inference (the default
-// DefaultBatchSize bound): the ratio to Parallel is the measured win of
-// amortizing per-graph op dispatch across shared forward passes.
+// BenchmarkAnalyzeFilesBatched runs the same corpus with a full
+// GOMAXPROCS pool: the ratio to Serial is the worker pool's speedup.
 func BenchmarkAnalyzeFilesBatched(b *testing.B) {
-	benchmarkAnalyzeFiles(b, runtime.GOMAXPROCS(0), DefaultBatchSize)
+	benchmarkAnalyzeFiles(b, runtime.GOMAXPROCS(0))
 }
 
 // BenchmarkAnalyzeFilesCached is BenchmarkAnalyzeFilesSerial with the
@@ -271,7 +260,6 @@ func BenchmarkAnalyzeFilesBatched(b *testing.B) {
 func BenchmarkAnalyzeFilesCached(b *testing.B) {
 	e := *analysisEngine(b)
 	e.SetWorkers(1)
-	e.SetBatchSize(1)
 	e.SetCacheSize(1 << 14)
 	files := corpusFiles(benchCorpusSize)
 	if _, err := e.AnalyzeFiles(files); err != nil { // warm the cache
@@ -294,7 +282,7 @@ func BenchmarkAnalyzeFilesCached(b *testing.B) {
 }
 
 // BenchmarkRewriteFile measures the full analyze-plus-rewrite path over
-// the shared corpus at Workers=1, batch 1 — the same configuration as
+// the shared corpus at Workers=1 — the same configuration as
 // BenchmarkAnalyzeFilesSerial, so the ratio between the two rows is the
 // measured cost of the rewrite stage itself (clause derivation, verify
 // gating, dynamic validation and the splice) on top of plain analysis.
@@ -302,7 +290,6 @@ func BenchmarkAnalyzeFilesCached(b *testing.B) {
 func BenchmarkRewriteFile(b *testing.B) {
 	e := *analysisEngine(b)
 	e.SetWorkers(1)
-	e.SetBatchSize(1)
 	e.SetRewrite(true)
 	files := corpusFiles(benchCorpusSize)
 	b.ResetTimer()

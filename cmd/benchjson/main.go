@@ -8,10 +8,10 @@
 //
 // Usage:
 //
-//	go test -bench AnalyzeFiles -benchtime 3x -run '^$' . \
+//	go test -bench 'AnalyzeFiles|RewriteFile' -benchtime 3x -run '^$' . \
 //	  | benchjson -out BENCH_pr5.json \
 //	      -baseline BENCH_baseline.json -gate BenchmarkAnalyzeFilesBatched -max-regress 20 \
-//	      -gate-ratio BenchmarkAnalyzeFilesBatched/BenchmarkAnalyzeFilesParallel -max-ratio 1.10
+//	      -gate-ratio BenchmarkRewriteFile/BenchmarkAnalyzeFilesSerial -max-ratio 2.5
 //
 // The baseline gate compares ns/op of -gate in the fresh run against the
 // baseline file and exits nonzero when current > baseline ×
@@ -168,9 +168,9 @@ func gateAllocs(current, baseline *Summary, name string, maxRegressPct float64) 
 // ns/op of num must not exceed ns/op of den × the ratio bound. Unlike the
 // baseline gate it compares measurements from the same process on the
 // same machine, so it stays meaningful across runner-hardware changes —
-// CI uses it to assert that batched inference keeps beating the unbatched
-// parallel pipeline and that data-parallel training keeps beating the
-// serial epoch loop (within noise tolerance).
+// CI uses it to bound what the rewrite stage costs on top of analysis
+// and to assert that data-parallel training keeps beating the serial
+// epoch loop (within noise tolerance).
 //
 // The spec is NUMERATOR/DENOMINATOR with an optional per-spec bound
 // appended as "<=X" (e.g. "BenchA/BenchB<=0.95"); without one, maxRatio

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	graph2serve [-addr :8080] [-model ckpt] [-scale 0.02] [-epochs 6]
-//	            [-workers N] [-cache 4096] [-batch 16]
+//	            [-workers N] [-cache 4096]
 //	            [-max-inflight N] [-max-queue N] [-rate R] [-burst B]
 //	            [-max-body BYTES] [-peers url,url] [-self url]
 //	            [-probe-interval 1s] [-replication 2] [-negative-ttl 1s]
@@ -60,7 +60,6 @@ func main() {
 	workers := flag.Int("workers", 0, "analysis worker pool size (0 = GOMAXPROCS)")
 	trainWorkers := flag.Int("train-workers", 0, "data-parallel training workers for from-scratch training (0 = GOMAXPROCS); any value trains bit-identically")
 	cacheSize := flag.Int("cache", 4096, "analysis cache capacity in loop reports (0 disables)")
-	batchSize := flag.Int("batch", 0, "inference batch size: loops per HGT forward pass (0 = default, 1 disables)")
 	maxBody := flag.Int64("max-body", 0, "max request-body bytes; larger bodies get 413 (0 = 16 MiB default)")
 	maxInflight := flag.Int("max-inflight", 0, "admission control: max concurrently processed API requests (0 disables)")
 	maxQueue := flag.Int("max-queue", 0, "admission queue watermark: requests waiting beyond this are shed with 429 (needs -max-inflight)")
@@ -71,7 +70,7 @@ func main() {
 	self := flag.String("self", "", "this replica's own advertised base URL, as the peers list it (required with -peers)")
 	peerTimeout := flag.Duration("peer-timeout", 0, "per-exchange timeout for peer cache fills (0 = 500ms default)")
 	probeInterval := flag.Duration("probe-interval", 0, "peer health-probe period; down peers leave the ownership ring until they re-pass two probes, so probing cannot be disabled (0 = 1s default)")
-	replication := flag.Int("replication", 0, "rendezvous owner-set size per cache key: locally computed reports replicate to this many owners (0 = 2 default, 1 disables replication)")
+	replication := flag.Int("replication", 0, "rendezvous owner-set size per cache key: locally computed reports replicate to this many owners (0 = 2 default, 1 disables replication, negative is a usage error)")
 	negativeTTL := flag.Duration("negative-ttl", 0, "per-key suppression window after a failed or empty peer fill (0 = 1s default, negative disables)")
 	doVerify := flag.Bool("verify", false, "statically verify every suggested pragma; verdicts ride the response reports")
 	doRewrite := flag.Bool("rewrite", false, "enable the source-to-source rewrite stage and the POST /v1/rewrite endpoint")
@@ -80,6 +79,10 @@ func main() {
 	flag.Parse()
 	if *probeInterval < 0 {
 		fmt.Fprintln(os.Stderr, "graph2serve: -probe-interval must not be negative: only a passing probe readmits a down peer")
+		os.Exit(2)
+	}
+	if *replication < 0 {
+		fmt.Fprintln(os.Stderr, "graph2serve: -replication must not be negative")
 		os.Exit(2)
 	}
 
@@ -91,7 +94,6 @@ func main() {
 		Workers:      *workers,
 		TrainWorkers: *trainWorkers,
 		CacheSize:    *cacheSize,
-		BatchSize:    *batchSize,
 		Quiet:        *quiet,
 		Verify:       *doVerify,
 		Rewrite:      *doRewrite,
@@ -176,8 +178,8 @@ func main() {
 		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	fmt.Printf("graph2serve: listening on %s (workers=%d, batch=%d, cache=%d)\n",
-		*addr, engine.Workers(), engine.BatchSize(), *cacheSize)
+	fmt.Printf("graph2serve: listening on %s (workers=%d, cache=%d)\n",
+		*addr, engine.Workers(), *cacheSize)
 	if err := serve.ListenAndServe(ctx, srv, 10*time.Second); err != nil {
 		fmt.Fprintln(os.Stderr, "graph2serve:", err)
 		os.Exit(1)

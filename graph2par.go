@@ -76,14 +76,6 @@ type EngineConfig struct {
 	// while staying byte-for-byte identical to an uncached run. 0 (the
 	// zero value) disables caching.
 	CacheSize int
-	// BatchSize bounds how many loop graphs share one HGT forward pass:
-	// Analyze* methods group cache-missing loops into size-bucketed
-	// batches of at most this many graphs and score each batch with
-	// hgt.Model.PredictBatch, amortizing per-graph op dispatch without
-	// changing a single output bit. 0 (the zero value) means
-	// DefaultBatchSize; 1 disables batching (one forward pass per loop,
-	// the pre-batching behaviour).
-	BatchSize int
 	// Verify enables the post-inference static verification stage: every
 	// suggested pragma is re-checked by internal/verify's flow-sensitive
 	// analyses and the verdict (safe / unknown / unsafe, with reasons and
@@ -100,10 +92,12 @@ type EngineConfig struct {
 	Rewrite bool
 }
 
-// DefaultBatchSize is the inference batch bound used when
-// EngineConfig.BatchSize is left zero: large enough to amortize op
-// dispatch, small enough that a typical corpus still splits into more
-// batches than workers.
+// DefaultBatchSize bounds how many loop graphs share one HGT forward
+// pass: Analyze* methods group cache-missing loops into size-bucketed
+// batches of at most this many graphs and score each batch with
+// hgt.Model.PredictBatch, which changes no output bit. It is large enough
+// to amortize per-graph op dispatch and small enough that a typical
+// corpus still splits into more batches than workers.
 const DefaultBatchSize = 16
 
 // Engine is a ready-to-use Graph2Par analyzer.
@@ -118,7 +112,6 @@ type Engine struct {
 	gopts   auggraph.Options
 	tools   []tools.Tool
 	workers int
-	batch   int
 
 	// cache is the optional content-addressed report cache (nil when
 	// disabled); fingerprint identifies the loaded weights + vocabulary +
@@ -222,7 +215,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		rewrite: cfg.Rewrite,
 		rstats:  &rewriteStats{},
 	}
-	e.SetBatchSize(cfg.BatchSize)
 	if cfg.ModelPath != "" {
 		model, vocab, gopts, err := train.LoadCheckpoint(cfg.ModelPath)
 		if err != nil {
@@ -269,21 +261,6 @@ func (e *Engine) SetWorkers(n int) { e.workers = parallel.Workers(n) }
 
 // Workers returns the current analysis worker-pool bound.
 func (e *Engine) Workers() int { return e.workers }
-
-// SetBatchSize re-bounds the inference batch (0 means DefaultBatchSize,
-// 1 disables batching; see EngineConfig.BatchSize). It must not be called
-// concurrently with Analyze* methods.
-func (e *Engine) SetBatchSize(n int) {
-	switch {
-	case n <= 0:
-		e.batch = DefaultBatchSize
-	default:
-		e.batch = n
-	}
-}
-
-// BatchSize returns the current inference batch bound (1 = unbatched).
-func (e *Engine) BatchSize() int { return e.batch }
 
 // SetCacheSize replaces the analysis cache with a fresh one of the given
 // entry capacity (≤ 0 disables caching). The model fingerprint is
@@ -704,16 +681,14 @@ type loopJob struct {
 }
 
 // analyzeJobs analyzes jobs[i] into slot i of the result, spreading work
-// over the engine's worker pool. With batching disabled (batch ≤ 1) each
-// loop runs the whole per-loop pipeline on its own worker; otherwise
-// inference is lifted out of the per-loop path: every cache-missing loop's
-// aug-AST is built concurrently, the misses are grouped into size-bucketed
-// batches of at most e.batch graphs, each batch is scored in one
-// PredictBatch forward pass, and the remaining per-loop work (pragma
-// synthesis, tool cross-checks, cache fill) fans back out. Both paths
-// produce byte-identical reports — PredictBatch is bit-identical to
-// Predict — and identical cache-counter trajectories (one Get per loop,
-// one Put per miss).
+// over the engine's worker pool in three stages: every cache-missing
+// loop's aug-AST is built concurrently, the misses are grouped into
+// size-bucketed batches of at most DefaultBatchSize graphs and each batch
+// is scored in one PredictBatch forward pass, and the remaining per-loop
+// work (pragma synthesis, tool cross-checks, cache fill) fans back out.
+// The batching never shows in a report — PredictBatch is bit-identical to
+// Predict for any batch composition — and the cache sees one Get per loop
+// and one Put per miss.
 //
 // Cancellation is cooperative: ctx is checked at every stage boundary and
 // between per-loop work items, never inside a forward pass. Once ctx is
@@ -725,15 +700,6 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []loopJob, ss *scratchSet
 		return reports
 	}
 	scrs := ss.ensure(e.stageWorkers(len(jobs)))
-	if e.batch <= 1 {
-		parallel.ForEachWorker(e.workers, len(jobs), func(w, i int) {
-			if ctx.Err() != nil {
-				return
-			}
-			reports[i] = e.analyzeLoop(jobs[i], scrs[w])
-		})
-		return reports
-	}
 
 	// Stage A: cache probe + aug-AST construction, one worker per loop.
 	// Graphs and encodings land in the worker's scratch and stay valid
@@ -783,14 +749,14 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []loopJob, ss *scratchSet
 	})
 	preds := make([]int, len(jobs))
 	probs := make([][]float64, len(jobs))
-	// Chunk bound: at most e.batch graphs per forward pass, but never so
-	// few batches that workers idle — a small workload (one file's worth
-	// of loops) still spreads across the pool instead of serializing into
-	// a single pass. Chunking never affects output: PredictBatch is
-	// bit-identical per graph for any batch composition.
+	// Chunk bound: at most DefaultBatchSize graphs per forward pass, but
+	// never so few batches that workers idle — a small workload (one
+	// file's worth of loops) still spreads across the pool instead of
+	// serializing into a single pass. Chunking never affects output:
+	// PredictBatch is bit-identical per graph for any batch composition.
 	chunk := (len(miss) + e.workers - 1) / e.workers
-	if chunk > e.batch {
-		chunk = e.batch
+	if chunk > DefaultBatchSize {
+		chunk = DefaultBatchSize
 	}
 	if chunk < 1 {
 		chunk = 1
@@ -909,10 +875,9 @@ func (e *Engine) AnalyzeFilesContext(ctx context.Context, sources map[string]str
 		}
 	}
 
-	// Stage 3: analyze every loop of every file over the worker pool —
-	// size-bucketed batched inference when batching is enabled, one
-	// forward pass per loop otherwise. Each report lands in its own slot
-	// so output order is scheduling-independent either way.
+	// Stage 3: analyze every loop of every file over the worker pool with
+	// size-bucketed batched inference. Each report lands in its own slot
+	// so output order is scheduling-independent.
 	loopReports := e.analyzeJobs(ctx, jobs, ss)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -949,9 +914,9 @@ func (e *Engine) AnalyzeFilesContext(ctx context.Context, sources map[string]str
 
 // AnalyzeLoop reports on a single loop snippet (no file context).
 func (e *Engine) AnalyzeLoop(loopSrc string) (*LoopReport, error) {
-	scr := e.fe.Get()
-	defer e.fe.Put(scr)
-	st, err := scr.Parse.ParseStmt(loopSrc)
+	ss := &scratchSet{pool: e.fe}
+	defer ss.release()
+	st, err := ss.ensure(1)[0].Parse.ParseStmt(loopSrc)
 	if err != nil {
 		return nil, err
 	}
@@ -960,38 +925,13 @@ func (e *Engine) AnalyzeLoop(loopSrc string) (*LoopReport, error) {
 	default:
 		return nil, fmt.Errorf("graph2par: not a loop statement")
 	}
-	r := e.analyzeLoop(loopJob{loop: st, fileKey: snippetCacheKey}, scr)
+	r := e.analyzeJobs(context.Background(), []loopJob{{loop: st, fileKey: snippetCacheKey}}, ss)[0]
 	return &r, nil
 }
 
-// analyzeLoop runs the full per-loop pipeline for one job, consulting the
-// analysis cache first when one is configured. job.fileKey identifies the
-// enclosing translation unit's content ("" only when caching is off);
-// cached results are byte-for-byte identical to a fresh computation
-// because the key covers every input the pipeline reads: the model
-// (fingerprint), the graph options, the file content (which determines
-// funcs and the dynamic tool behaviour), and the loop's position and
-// normalized source.
-func (e *Engine) analyzeLoop(job loopJob, scr *frontend.Scratch) LoopReport {
-	var key string
-	if e.cache != nil {
-		key = e.loopCacheKey(job.loop, job.fileKey)
-		if r, ok := e.cache.Get(key); ok {
-			return cloneReport(r)
-		}
-		if r, ok := e.peerFill(key); ok {
-			return r
-		}
-	}
-	g, enc := e.buildGraph(job, scr)
-	pred, probs := e.model.Predict(enc)
-	return e.finishLoop(job, g, key, pred, probs)
-}
-
 // buildGraph constructs and encodes the loop's aug-AST in the worker's
-// scratch — the inference input half of the pipeline, shared by the
-// per-loop and batched paths. The results live until the scratch is
-// released.
+// scratch — the inference input half of the pipeline. The results live
+// until the scratch is released.
 func (e *Engine) buildGraph(job loopJob, scr *frontend.Scratch) (*auggraph.Graph, *auggraph.Encoded) {
 	gopts := e.gopts
 	gopts.Funcs = job.funcs

@@ -162,3 +162,38 @@ func TestEngineParseErrorSurface(t *testing.T) {
 		t.Error("parse error should surface")
 	}
 }
+
+// runawayRecursion calls a function with no base case from a loop. DiscoPoP
+// and the rewrite oracle interpret main(), so without the interpreter's
+// call-depth bound their runs overflow the goroutine stack, which ends the
+// process instead of failing the request.
+const runawayRecursion = `int f(int n) { return f(n + 1); }
+int main() {
+    int i, s = 0;
+    for (i = 0; i < 8; i++) s += f(i);
+    return s;
+}
+`
+
+// TestRunawayRecursionIsNotProfilable runs the program through
+// RewriteSource, which is AnalyzeSource (DiscoPoP included) followed by
+// the rewrite splice.
+func TestRunawayRecursionIsNotProfilable(t *testing.T) {
+	e := *engine(t)
+	e.SetRewrite(true)
+	res, err := e.RewriteSource(runawayRecursion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Changed {
+		t.Errorf("a loop whose oracle run cannot finish was rewritten:\n%s", res.Output)
+	}
+	if len(res.Reports) != 1 {
+		t.Fatalf("loops = %d, want 1", len(res.Reports))
+	}
+	for _, tv := range res.Reports[0].Tools {
+		if tv.Tool == "DiscoPoP" && (tv.Processable || !strings.Contains(tv.Reason, "call depth")) {
+			t.Errorf("DiscoPoP verdict = %+v, want not profilable for call depth", tv)
+		}
+	}
+}

@@ -12,8 +12,8 @@ import (
 var ErrStepBudget = errors.New("cinterp: step budget exhausted")
 
 // ErrUnsupported wraps constructs the interpreter cannot execute (pointers,
-// unknown functions, ...), making the program unprocessable for the dynamic
-// tool.
+// unknown functions, recursion deeper than maxCallDepth, ...), making the
+// program unprocessable for the dynamic tool.
 type ErrUnsupported struct{ What string }
 
 func (e *ErrUnsupported) Error() string { return "cinterp: unsupported: " + e.What }
@@ -104,6 +104,8 @@ type Interp struct {
 	// MaxSteps bounds execution; defaults to 2,000,000 evaluation steps.
 	MaxSteps int
 	steps    int
+	// depth counts the live C call frames, main included.
+	depth int
 
 	// Instrumentation: accesses inside TraceLoop (at any call depth) are
 	// reported to Trace with the loop's current iteration.
@@ -325,6 +327,12 @@ func (in *Interp) traceAccess(addr Addr, write bool) {
 	}
 }
 
+// maxCallDepth bounds the C call stack. Each interpreted call costs about
+// 2 KB of goroutine stack (callFunc → execStmt → eval → evalCall), so
+// unbounded recursion would exhaust Go's stack limit, which ends the whole
+// process, long before the step budget runs out.
+const maxCallDepth = 1000
+
 // callFunc invokes fn with evaluated arguments. Arrays are passed by
 // reference (C decay), scalars by value.
 func (in *Interp) callFunc(fn *cast.FuncDecl, args []binding) (Value, error) {
@@ -338,8 +346,14 @@ func (in *Interp) callFunc(fn *cast.FuncDecl, args []binding) (Value, error) {
 		}
 		sc.vars[p.Name] = args[i]
 	}
+	if in.depth == maxCallDepth {
+		return Value{}, &ErrUnsupported{What: fmt.Sprintf("call depth over %d frames", maxCallDepth)}
+	}
 	st := &execState{}
-	if err := in.execStmt(sc, fn.Body, st); err != nil {
+	in.depth++
+	err := in.execStmt(sc, fn.Body, st)
+	in.depth--
+	if err != nil {
 		return Value{}, err
 	}
 	return st.retVal, nil

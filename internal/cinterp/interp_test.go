@@ -2,6 +2,7 @@ package cinterp
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"graph2par/internal/cast"
@@ -135,6 +136,29 @@ int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }
 int main() { return fib(12); }`)
 	if v.AsInt() != 144 {
 		t.Errorf("fib(12) = %v, want 144", v)
+	}
+}
+
+// TestCallDepthLimit pins the C call-stack bound: recursion exactly
+// maxCallDepth frames deep runs, one frame more is unsupported, and so is
+// recursion with no base case, which without the bound overflows the
+// goroutine stack and ends the process.
+func TestCallDepthLimit(t *testing.T) {
+	// main plus down(n), …, down(0) is n+2 frames.
+	const src = `int down(int n) { if (n == 0) return 0; return 1 + down(n - 1); }
+int main() { return down(%d); }`
+	if v := mustRun(t, fmt.Sprintf(src, maxCallDepth-2)); v.AsInt() != maxCallDepth-2 {
+		t.Errorf("down(%d) = %v", maxCallDepth-2, v)
+	}
+	for _, prog := range []string{
+		fmt.Sprintf(src, maxCallDepth-1),
+		`int f(int n) { return f(n + 1); } int main() { return f(0); }`,
+	} {
+		_, err := run(t, prog)
+		var ue *ErrUnsupported
+		if !errors.As(err, &ue) {
+			t.Errorf("err = %v, want ErrUnsupported for %q", err, prog)
+		}
 	}
 }
 

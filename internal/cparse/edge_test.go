@@ -1,6 +1,7 @@
 package cparse
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -121,5 +122,49 @@ func TestSessionReuseAfterError(t *testing.T) {
 	sess.Reset()
 	if _, err := sess.ParseFile(good); err != nil {
 		t.Fatalf("session unusable after Reset: %v", err)
+	}
+}
+
+// TestNestingDepthLimit pins the MaxDepth bound on every shape of nesting:
+// one level past the limit is a positioned *Error, never a stack overflow,
+// and the same shape 64 levels deep (the deepest AST in examples/c and the
+// generated corpora is 14) still parses. Parentheses, blocks, else-if
+// chains and unary chains recurse in the parser; binary and subscript
+// chains are built in loops, so only the finished tree's depth check
+// catches them. The session stays usable after each refusal.
+func TestNestingDepthLimit(t *testing.T) {
+	sess := NewSession()
+	cases := []struct {
+		name  string
+		stmt  bool // parse as a statement, else as an expression
+		build func(levels int) string
+	}{
+		{"parentheses", false, func(n int) string { return strings.Repeat("(", n) + "x" + strings.Repeat(")", n) }},
+		{"blocks", true, func(n int) string { return strings.Repeat("{", n) + strings.Repeat("}", n) }},
+		{"else-if chain", true, func(n int) string { return "if (x) ;" + strings.Repeat(" else if (x) ;", n-1) }},
+		{"unary chain", false, func(n int) string { return strings.Repeat("!", n) + "x" }},
+		{"binary chain", false, func(n int) string { return "x" + strings.Repeat("+x", n-1) }},
+		{"subscript chain", false, func(n int) string { return "a" + strings.Repeat("[0]", n-1) }},
+	}
+	for _, c := range cases {
+		parse := func(src string) error {
+			if c.stmt {
+				_, err := sess.ParseStmt(src)
+				return err
+			}
+			_, err := sess.ParseExpr(src)
+			return err
+		}
+		if err := parse(c.build(64)); err != nil {
+			t.Errorf("%s, 64 levels: %v", c.name, err)
+		}
+		err := parse(c.build(MaxDepth + 1))
+		var pe *Error
+		if !errors.As(err, &pe) || pe.Msg != tooDeepMsg || pe.Pos.Line == 0 {
+			t.Errorf("%s, %d levels: err = %v, want a positioned %q", c.name, MaxDepth+1, err, tooDeepMsg)
+		}
+	}
+	if _, err := sess.ParseFile("int main() { return 0; }"); err != nil {
+		t.Errorf("session unusable after depth errors: %v", err)
 	}
 }

@@ -24,9 +24,21 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("parse error at %s: %s", e.Pos, e.Msg) }
 
+// MaxDepth bounds both the parser's recursion and the depth of every AST
+// it returns. Each level of nesting costs the parser, and each recursive
+// pass downstream (printer, aug-AST builder, verifier, interpreter), some
+// hundreds of bytes of goroutine stack; past Go's stack limit the process
+// dies with an error recover cannot catch. Deeper input is a parse error.
+const MaxDepth = 256
+
+// tooDeepMsg is the message of every depth-limit parse error.
+var tooDeepMsg = fmt.Sprintf("nesting deeper than %d levels", MaxDepth)
+
 type parser struct {
 	toks []clex.Token
 	pos  int
+	// depth counts the live calls of the functions that call enter.
+	depth int
 	// ast is the slab allocator AST nodes come from (see session.go).
 	ast *astAlloc
 }
@@ -112,6 +124,20 @@ func (p *parser) expect(op string) error {
 func (p *parser) errHere(msg string) *Error {
 	return &Error{Pos: p.cur().Pos, Msg: msg}
 }
+
+// enter counts one level of parser recursion, failing past MaxDepth; on
+// success the caller defers leave. Every recursive cycle of the grammar
+// runs through a function that calls it: parseStmt, parseInitializer,
+// parseAssignExpr, parseCondExpr and parseUnaryExpr.
+func (p *parser) enter() error {
+	if p.depth == MaxDepth {
+		return p.errHere(tooDeepMsg)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 // ---------------------------------------------------------------------------
 // types
@@ -366,6 +392,10 @@ func (p *parser) parseDeclarator(typ string, ptr int, nameTok clex.Token) (*cast
 }
 
 func (p *parser) parseInitializer() (cast.Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	if p.cur().Is("{") {
 		start := p.next().Pos
 		lst := alloc(&p.ast.initLists, cast.InitList{P: start})
@@ -418,6 +448,10 @@ func (p *parser) parseCompound() (*cast.Compound, error) {
 }
 
 func (p *parser) parseStmt() (cast.Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	switch {
 	case t.Kind == clex.DirectiveLn:
@@ -729,6 +763,10 @@ var assignOps = map[string]bool{
 }
 
 func (p *parser) parseAssignExpr() (cast.Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	lhs, err := p.parseCondExpr()
 	if err != nil {
 		return nil, err
@@ -746,6 +784,10 @@ func (p *parser) parseAssignExpr() (cast.Expr, error) {
 }
 
 func (p *parser) parseCondExpr() (cast.Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	cond, err := p.parseBinaryExpr(1)
 	if err != nil {
 		return nil, err
@@ -818,6 +860,10 @@ func (p *parser) parseBinaryExpr(minPrec int) (cast.Expr, error) {
 }
 
 func (p *parser) parseUnaryExpr() (cast.Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	switch {
 	case t.Is("++"), t.Is("--"), t.Is("-"), t.Is("+"), t.Is("!"), t.Is("~"), t.Is("*"), t.Is("&"):

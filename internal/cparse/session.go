@@ -117,6 +117,9 @@ func (a *astAlloc) reset() {
 type Session struct {
 	toks []clex.Token
 	ast  astAlloc
+	// nodes and depths are checkDepth's explicit stack.
+	nodes  []cast.Node
+	depths []int
 }
 
 // NewSession returns an empty parse session.
@@ -134,6 +137,7 @@ func (s *Session) Reset() {
 	s.ast.reset()
 	clear(s.toks[:cap(s.toks)])
 	s.toks = s.toks[:0]
+	clear(s.nodes[:cap(s.nodes)])
 }
 
 func (s *Session) newParser(src string) (*parser, error) {
@@ -145,13 +149,45 @@ func (s *Session) newParser(src string) (*parser, error) {
 	return &parser{toks: toks, ast: &s.ast}, nil
 }
 
+// checkDepth fails with a positioned error at the first node of root's
+// tree more than MaxDepth levels deep (root is level 1). The parser's
+// recursion bound does not cover the left-deep chains it builds in loops
+// (a+b+…, a[i][j]…, f()()…, x++++…), so this walk finds them, with an
+// explicit stack because a recursive walk is what such a tree overflows.
+func (s *Session) checkDepth(root cast.Node) error {
+	nodes := append(s.nodes[:0], root)
+	depths := append(s.depths[:0], 1)
+	var err error
+	for len(nodes) > 0 {
+		n, d := nodes[len(nodes)-1], depths[len(depths)-1]
+		nodes, depths = nodes[:len(nodes)-1], depths[:len(depths)-1]
+		if d > MaxDepth {
+			err = &Error{Pos: n.Pos(), Msg: tooDeepMsg}
+			break
+		}
+		nodes = cast.AppendChildren(n, nodes)
+		for len(depths) < len(nodes) {
+			depths = append(depths, d+1)
+		}
+	}
+	s.nodes, s.depths = nodes[:0], depths[:0]
+	return err
+}
+
 // ParseFile parses a full translation unit into session-owned memory.
 func (s *Session) ParseFile(src string) (*cast.File, error) {
 	p, err := s.newParser(src)
 	if err != nil {
 		return nil, err
 	}
-	return p.parseFile()
+	file, err := p.parseFile()
+	if err != nil {
+		return nil, err
+	}
+	if err := s.checkDepth(file); err != nil {
+		return nil, err
+	}
+	return file, nil
 }
 
 // ParseStmt parses a single statement into session-owned memory.
@@ -166,6 +202,9 @@ func (s *Session) ParseStmt(src string) (cast.Stmt, error) {
 	}
 	if p.pos < len(p.toks) {
 		return nil, p.errHere("trailing tokens after statement")
+	}
+	if err := s.checkDepth(st); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -182,6 +221,9 @@ func (s *Session) ParseExpr(src string) (cast.Expr, error) {
 	}
 	if p.pos < len(p.toks) {
 		return nil, p.errHere("trailing tokens after expression")
+	}
+	if err := s.checkDepth(e); err != nil {
+		return nil, err
 	}
 	return e, nil
 }

@@ -88,7 +88,8 @@ const negativeCap = 4096
 
 // Config describes this replica's place in the fleet and its
 // fault-tolerance tuning. The zero value of every knob means its
-// Default* constant; knobs documented as "negative disables" accept -1.
+// Default* constant; knobs documented as "negative disables" accept -1,
+// and New rejects a negative Replication, DownAfter or WarmQueue.
 type Config struct {
 	// Self is this replica's own advertised base URL. It participates in
 	// ownership (so the fleet's key space is spread over every replica)
@@ -191,6 +192,10 @@ type call struct {
 // slashes trimmed) so equivalent spellings of the same replica hash
 // identically fleet-wide.
 func New(cfg Config) (*Client, error) {
+	if cfg.Replication < 0 || cfg.DownAfter < 0 || cfg.WarmQueue < 0 {
+		return nil, fmt.Errorf("peercache: negative count (Replication %d, DownAfter %d, WarmQueue %d)",
+			cfg.Replication, cfg.DownAfter, cfg.WarmQueue)
+	}
 	self, err := normalizeBase(cfg.Self)
 	if err != nil {
 		return nil, fmt.Errorf("peercache: self: %w", err)

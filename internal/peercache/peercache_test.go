@@ -72,6 +72,31 @@ func TestNormalizeBase(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNegativeCounts pins New's validation of the count knobs:
+// a negative Replication would panic every fill (Client.ranked slices
+// cands[:n]), and a negative WarmQueue panics in make(chan).
+func TestNewRejectsNegativeCounts(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"Replication": {Replication: -1},
+		"DownAfter":   {DownAfter: -1},
+		"WarmQueue":   {WarmQueue: -1, Fingerprint: "fp"},
+	} {
+		cfg.Self, cfg.Peers, cfg.ProbeInterval = "http://a:1", []string{"http://b:1"}, -1
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s -1: New panicked: %v", name, r)
+				}
+			}()
+			c, err := New(cfg)
+			if err == nil {
+				c.Close()
+				t.Errorf("%s -1: New accepted it", name)
+			}
+		}()
+	}
+}
+
 // TestOwnerAgreement is the rendezvous property the fleet depends on:
 // replicas configured with the same fleet in different orders (and
 // different selves) compute the same owner for every key — including

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"graph2par"
+	"graph2par/internal/cparse"
 )
 
 var (
@@ -241,6 +242,44 @@ func TestAnalyzeRejectsBadInput(t *testing.T) {
 		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 			t.Errorf("%s %s: Content-Type %q, want application/json", route.method, route.path, ct)
 		}
+	}
+}
+
+// TestHostileSourcesKeepServing sends the two inputs that used to end the
+// process with a stack overflow: a program whose DiscoPoP run recurses
+// without bound (200, DiscoPoP not profilable) and an expression nested
+// one level past cparse.MaxDepth (422 unparsable_source). The next
+// ordinary request is still served.
+func TestHostileSourcesKeepServing(t *testing.T) {
+	ts := server(t)
+	const recursive = `int f(int n) { return f(n + 1); }
+int main() {
+    int i, s = 0;
+    for (i = 0; i < 8; i++) s += f(i);
+    return s;
+}
+`
+	var resp analyzeResponse
+	if code := postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: recursive}, &resp); code != http.StatusOK {
+		t.Fatalf("runaway recursion: status = %d, want 200", code)
+	}
+	if len(resp.Reports) != 1 {
+		t.Fatalf("runaway recursion: reports = %d, want 1", len(resp.Reports))
+	}
+	for _, tv := range resp.Reports[0].Tools {
+		if tv.Tool == "DiscoPoP" && tv.Processable {
+			t.Errorf("runaway recursion: DiscoPoP processed it: %+v", tv)
+		}
+	}
+
+	deep := "int main() { return " + strings.Repeat("(", cparse.MaxDepth+1) + "0" + strings.Repeat(")", cparse.MaxDepth+1) + "; }"
+	var e errorEnvelope
+	if code := postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: deep}, &e); code != http.StatusUnprocessableEntity || e.Error.Code != codeUnparsable {
+		t.Errorf("deep nesting: status %d code %q, want 422 %q", code, e.Error.Code, codeUnparsable)
+	}
+
+	if code := postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: program}, &resp); code != http.StatusOK || len(resp.Reports) != 4 {
+		t.Errorf("next request: status %d with %d reports, want 200 with 4", code, len(resp.Reports))
 	}
 }
 

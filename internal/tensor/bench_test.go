@@ -21,15 +21,13 @@ func benchMatMul(b *testing.B, n int) {
 	}
 }
 
-// BenchmarkMatMulSmall is the per-example training shape: far below the
-// parallel threshold, it measures the pure tiled serial kernel.
+// BenchmarkMatMulSmall is the per-example training shape.
 func BenchmarkMatMulSmall(b *testing.B) { benchMatMul(b, 48) }
 
 // BenchmarkMatMulMedium sits at a typical batched-inference union size.
 func BenchmarkMatMulMedium(b *testing.B) { benchMatMul(b, 192) }
 
-// BenchmarkMatMulLarge crosses the parallel row-split threshold, so on a
-// multi-core runner it also measures the goroutine fan-out.
+// BenchmarkMatMulLarge does eight times Medium's multiply-adds.
 func BenchmarkMatMulLarge(b *testing.B) { benchMatMul(b, 384) }
 
 // BenchmarkMatMulBackward times the two transposed accumulation kernels the

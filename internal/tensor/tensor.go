@@ -7,8 +7,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
 // Matrix is a dense row-major matrix.
@@ -210,82 +208,19 @@ func MatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// The three MatMul kernels below share two structural rules that make them
-// safe everywhere the repository relies on bit-identical floating-point
-// results (batch-vs-single inference, worker-count-independent training):
-//
-//   - every output element accumulates its terms over the shared dimension
-//     in ascending order, no matter how the loops around it are blocked;
-//   - parallelism only ever splits disjoint OUTPUT row ranges across
-//     goroutines, so no element is touched by two workers and no
-//     accumulation order depends on scheduling.
-//
-// Blocking is therefore a pure cache optimization: any block size and any
-// worker count produce the same bytes as the naive triple loop.
+// The three MatMul kernels below are safe everywhere the repository relies
+// on bit-identical floating-point results (batch-vs-single inference,
+// worker-count-independent training) because every output element
+// accumulates its terms over the shared dimension in ascending order, no
+// matter how the loops around it are blocked. Blocking is therefore a pure
+// cache optimization: any block size produces the same bytes as the naive
+// triple loop. Each kernel runs on the calling goroutine; parallelism
+// lives one level up, in the engine's and the trainer's worker pools.
 
 // matMulRowBlock is the row-group size of the tiled kernels: one block of
 // output rows reuses each streamed b-row blockRows times, cutting main-memory
 // traffic on the larger operand by the same factor.
 const matMulRowBlock = 8
-
-// parThreshold is the minimum number of multiply-adds before a kernel fans
-// rows out across goroutines; below it the spawn cost dwarfs the work. One
-// worker per GOMAXPROCS slot, contiguous row ranges.
-//
-// The bound is deliberately high (a ~2M-flop product runs ~1ms serial)
-// because these kernels often execute INSIDE a worker pool — per-example
-// training tapes, the engine's per-batch inference workers — where nested
-// fan-out would oversubscribe cores. Per-example training matmuls and
-// typical size-bucketed inference unions (16 loop graphs × ~40 nodes at
-// hidden 48 ≈ 1.5M flops) stay under it; only genuinely large products,
-// where extra threads help more than they contend, cross it.
-const parThreshold = 2 << 20
-
-// serialRows reports whether a kernel of the given row count and
-// multiply-add volume should run on the calling goroutine. Kernels use it
-// to take a closure-free serial fast path: constructing the fan-out
-// closure only when parallelRows will actually spawn workers keeps small
-// matmuls (the inference hot path) allocation-free.
-//
-//graph2lint:noalloc
-func serialRows(rows, flops int) bool {
-	w := runtime.GOMAXPROCS(0)
-	if w > rows {
-		w = rows
-	}
-	return w <= 1 || flops < parThreshold
-}
-
-// parallelRows runs fn over [0, rows) split into contiguous ranges, in
-// parallel when the total work justifies it. fn must only write rows inside
-// its range. flops is the full kernel's multiply-add count.
-func parallelRows(rows int, flops int, fn func(lo, hi int)) {
-	w := runtime.GOMAXPROCS(0)
-	if w > rows {
-		w = rows
-	}
-	if w <= 1 || flops < parThreshold {
-		fn(0, rows)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(w)
-	chunk := (rows + w - 1) / w
-	for g := 0; g < w; g++ {
-		lo := g * chunk
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		go func(lo, hi int) {
-			defer wg.Done()
-			if lo < hi {
-				fn(lo, hi)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
 
 // MatMulInto computes out = a·b into an existing matrix.
 //
@@ -294,14 +229,7 @@ func MatMulInto(out, a, b *Matrix) {
 	if out.Rows != a.Rows || out.Cols != b.Cols {
 		panic("tensor: matmul output shape mismatch")
 	}
-	n, k, m := a.Rows, a.Cols, b.Cols
-	if serialRows(n, n*k*m) {
-		matMulRange(out, a, b, 0, n)
-		return
-	}
-	parallelRows(n, n*k*m, func(lo, hi int) { //graph2lint:allow noalloc -- parallel fast path: one closure + worker goroutines in exchange for all cores; the serial path above stays allocation-free
-		matMulRange(out, a, b, lo, hi)
-	})
+	matMulRange(out, a, b, 0, a.Rows)
 }
 
 // matMulRange runs the tiled out = a·b kernel over output rows [lo, hi).
@@ -337,23 +265,15 @@ func matMulRange(out, a, b *Matrix, lo, hi int) {
 }
 
 // MatMulATInto computes out += aᵀ·b (used by backward passes). Output rows
-// are columns of a; splitting them across workers keeps the accumulation
-// into each element serial and in ascending-row order, exactly as the
-// p-outer serial loop ordered it.
+// are columns of a; each element accumulates over the rows of a and b in
+// ascending order.
 //
 //graph2lint:noalloc
 func MatMulATInto(out, a, b *Matrix) {
 	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
 		panic("tensor: matmulAT shape mismatch")
 	}
-	n, k, m := a.Rows, a.Cols, b.Cols
-	if serialRows(k, n*k*m) {
-		matMulATRange(out, a, b, 0, k)
-		return
-	}
-	parallelRows(k, n*k*m, func(lo, hi int) { //graph2lint:allow noalloc -- parallel fast path: one closure + worker goroutines in exchange for all cores; the serial path above stays allocation-free
-		matMulATRange(out, a, b, lo, hi)
-	})
+	matMulATRange(out, a, b, 0, a.Cols)
 }
 
 // matMulATRange runs the out += aᵀ·b kernel over output rows [lo, hi).
@@ -384,14 +304,7 @@ func MatMulBTInto(out, a, b *Matrix) {
 	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
 		panic("tensor: matmulBT shape mismatch")
 	}
-	n, k, m := a.Rows, a.Cols, b.Rows
-	if serialRows(n, n*k*m) {
-		matMulBTRange(out, a, b, 0, n)
-		return
-	}
-	parallelRows(n, n*k*m, func(lo, hi int) { //graph2lint:allow noalloc -- parallel fast path: one closure + worker goroutines in exchange for all cores; the serial path above stays allocation-free
-		matMulBTRange(out, a, b, lo, hi)
-	})
+	matMulBTRange(out, a, b, 0, a.Rows)
 }
 
 // matMulBTRange runs the out += a·bᵀ kernel over output rows [lo, hi).

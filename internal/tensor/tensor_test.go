@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"math"
-	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -69,8 +68,8 @@ func TestQuickTransposedMatMulIdentities(t *testing.T) {
 }
 
 // naiveMatMul / naiveMatMulAT / naiveMatMulBT are straight-line reference
-// kernels: ascending-p accumulation per element, the order the tiled and
-// row-parallel production kernels promise to preserve bit for bit.
+// kernels: ascending-p accumulation per element, the order the tiled
+// production kernels promise to preserve bit for bit.
 func naiveMatMul(a, b *Matrix) *Matrix {
 	out := New(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
@@ -131,17 +130,15 @@ func bitEqual(a, b *Matrix) bool {
 	return true
 }
 
-// TestMatMulKernelsBitIdenticalToReference pins the tiled kernels (and
-// their parallel row-split, forced on by raising GOMAXPROCS past the
-// parThreshold work bound) to the naive reference, bit for bit, across
-// shapes small, ragged and large enough to cross every block boundary.
+// TestMatMulKernelsBitIdenticalToReference pins the tiled kernels to the
+// naive reference, bit for bit, across shapes small, ragged and large
+// enough to cross every block boundary.
 func TestMatMulKernelsBitIdenticalToReference(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := NewRNG(2718)
 	shapes := [][3]int{
 		{1, 1, 1}, {3, 5, 7}, {8, 8, 8}, {9, 17, 33},
 		{matMulRowBlock + 3, 31, 29},
-		{192, 96, 160}, // ~2.9M flops: crosses parThreshold, takes the parallel path
+		{192, 96, 160},
 	}
 	for _, sh := range shapes {
 		n, k, m := sh[0], sh[1], sh[2]
@@ -172,25 +169,6 @@ func TestMatMulKernelsBitIdenticalToReference(t *testing.T) {
 		if !bitEqual(gotBT, wantBT) {
 			t.Errorf("MatMulBTInto %dx%dx%d differs from reference", n, k, m)
 		}
-	}
-}
-
-// TestMatMulParallelMatchesSerial pins the worker-count independence of the
-// row-split: the same product computed with GOMAXPROCS 1 and 4 must be
-// byte-identical even though the 4-way run splits rows across goroutines.
-func TestMatMulParallelMatchesSerial(t *testing.T) {
-	rng := NewRNG(33)
-	a := New(200, 120).Gaussian(rng, 1)
-	b := New(120, 150).Gaussian(rng, 1)
-
-	prev := runtime.GOMAXPROCS(1)
-	serial := MatMul(a, b)
-	runtime.GOMAXPROCS(4)
-	par := MatMul(a, b)
-	runtime.GOMAXPROCS(prev)
-
-	if !bitEqual(serial, par) {
-		t.Fatal("parallel MatMul differs from serial")
 	}
 }
 

@@ -10,8 +10,7 @@ import (
 
 // The TrainEpoch benchmark pair is the training half of BENCH_pr4.json: CI
 // runs both on every push and gates on the within-run Parallel/Serial
-// ratio, so data-parallel training cannot quietly lose its speedup (the
-// mirror of the Batched/Parallel inference gate on BENCH_pr5.json).
+// ratio, so data-parallel training cannot quietly lose its speedup.
 
 var (
 	benchTrainSet     *GraphSet

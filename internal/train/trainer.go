@@ -33,9 +33,9 @@ import (
 //     registration order), independent of which goroutine computed what.
 //
 // The loss each worker computes is itself schedule-independent: the tensor
-// kernels only ever parallelize over disjoint output rows with ascending-
-// order accumulation (see internal/tensor), so a forward/backward pass is a
-// pure function of (weights, example, seed).
+// kernels run on the calling goroutine and accumulate in ascending order
+// (see internal/tensor), so a forward/backward pass is a pure function of
+// (weights, example, seed).
 
 // batchStep runs one minibatch data-parallel. It first Splits one dropout
 // RNG per example off the master generator — serially, in minibatch order,
