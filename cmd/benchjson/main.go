@@ -14,12 +14,13 @@
 //	      -gate-ratio BenchmarkRewriteFile/BenchmarkAnalyzeFilesSerial -max-ratio 2.5
 //
 // The baseline gate compares ns/op of -gate in the fresh run against the
-// baseline file and exits nonzero when current > baseline ×
-// (1 + max-regress/100); a gate benchmark missing from the baseline is a
-// warning, not a failure, so a new benchmark can land together with its
-// first baseline. The ratio gate compares two benchmarks of the same
-// run (machine-independent) and exits nonzero when
-// ns/op(numerator) > ns/op(denominator) × max-ratio.
+// baseline file and fails when current > baseline × (1 + max-regress/100);
+// a gate benchmark missing from the baseline is a warning, not a failure,
+// so a new benchmark can land together with its first baseline. The ratio
+// gate compares two benchmarks of the same run (machine-independent) and
+// fails when ns/op(numerator) > ns/op(denominator) × max-ratio. Every gate
+// is evaluated and reported, so one run shows every regression; the exit
+// status is 1 when any of them failed.
 package main
 
 import (
@@ -303,50 +304,64 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *gateName != "" {
+	g := gates{
+		ns:               *gateName,
+		maxRegress:       *maxRegress,
+		allocs:           allocGates,
+		maxAllocsRegress: *maxAllocsRegress,
+		ratios:           ratioSpecs,
+		maxRatio:         *maxRatio,
+	}
+	if *gateName != "" || len(allocGates) > 0 {
 		if *baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "benchjson: -gate requires -baseline")
+			fmt.Fprintln(os.Stderr, "benchjson: -gate and -gate-allocs require -baseline")
 			os.Exit(1)
 		}
-		baseline, err := load(*baselinePath)
-		if err != nil {
+		if g.baseline, err = load(*baselinePath); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
-		verdict, err := gate(summary, baseline, *gateName, *maxRegress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println(verdict)
 	}
-	if len(allocGates) > 0 {
-		if *baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "benchjson: -gate-allocs requires -baseline")
-			os.Exit(1)
-		}
-		baseline, err := load(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		for _, name := range allocGates {
-			verdict, err := gateAllocs(summary, baseline, name, *maxAllocsRegress)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Println(verdict)
-		}
+	if failed := g.check(summary, os.Stdout, os.Stderr); failed > 0 {
+		fmt.Fprintf(os.Stderr, "benchjson: %d gate(s) failed\n", failed)
+		os.Exit(1)
 	}
-	for _, spec := range ratioSpecs {
-		verdict, err := gateRatio(summary, spec, *maxRatio)
+}
+
+// gates is every gate one invocation evaluates.
+type gates struct {
+	baseline         *Summary // loaded when -gate or -gate-allocs is set
+	ns               string   // -gate
+	maxRegress       float64
+	allocs           []string // -gate-allocs
+	maxAllocsRegress float64
+	ratios           []string // -gate-ratio
+	maxRatio         float64
+}
+
+// check evaluates every gate, printing each verdict to out and each
+// failure to errOut, and returns the number of failures. A failed gate
+// does not stop the ones after it.
+func (g *gates) check(current *Summary, out, errOut io.Writer) int {
+	failed := 0
+	report := func(verdict string, err error) {
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(errOut, err)
+			failed++
+			return
 		}
-		fmt.Println(verdict)
+		fmt.Fprintln(out, verdict)
 	}
+	if g.ns != "" {
+		report(gate(current, g.baseline, g.ns, g.maxRegress))
+	}
+	for _, name := range g.allocs {
+		report(gateAllocs(current, g.baseline, name, g.maxAllocsRegress))
+	}
+	for _, spec := range g.ratios {
+		report(gateRatio(current, spec, g.maxRatio))
+	}
+	return failed
 }
 
 // ratioList collects repeated -gate-ratio flags.

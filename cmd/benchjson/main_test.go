@@ -258,3 +258,49 @@ func TestZeroAllocsIsData(t *testing.T) {
 		t.Error("nonzero/0 allocs ratio should fail any bound")
 	}
 }
+
+// TestCheckReportsEveryFailure pins that a failed gate does not hide the
+// gates after it: two allocation regressions are both reported, the
+// passing gates around them still print their verdicts, and the count of
+// failures is what decides the exit status.
+func TestCheckReportsEveryFailure(t *testing.T) {
+	base := &Summary{Benchmarks: map[string]Result{
+		"BenchmarkAnalyzeFilesBatched": {N: 3, NsPerOp: 100_000},
+		"BenchmarkFrontendBuildGraph":  {N: 3, NsPerOp: 1, AllocsPerOp: 1490, HasMem: true},
+		"BenchmarkFrontendPipeline":    {N: 3, NsPerOp: 1, AllocsPerOp: 2401, HasMem: true},
+		"BenchmarkFrontendParse":       {N: 3, NsPerOp: 1, AllocsPerOp: 100, HasMem: true},
+	}}
+	cur := &Summary{Benchmarks: map[string]Result{
+		"BenchmarkAnalyzeFilesBatched":   {N: 3, NsPerOp: 90_000},
+		"BenchmarkFrontendBuildGraph":    {N: 3, NsPerOp: 1, AllocsPerOp: 1823, HasMem: true},
+		"BenchmarkFrontendPipeline":      {N: 3, NsPerOp: 1, AllocsPerOp: 2803, HasMem: true},
+		"BenchmarkFrontendParse":         {N: 3, NsPerOp: 1, AllocsPerOp: 100, HasMem: true},
+		"BenchmarkFrontendPipelineFresh": {N: 3, NsPerOp: 4, AllocsPerOp: 14000, HasMem: true},
+	}}
+	g := gates{
+		baseline:         base,
+		ns:               "BenchmarkAnalyzeFilesBatched",
+		maxRegress:       20,
+		allocs:           []string{"BenchmarkFrontendBuildGraph", "BenchmarkFrontendPipeline", "BenchmarkFrontendParse"},
+		maxAllocsRegress: 10,
+		ratios:           []string{"BenchmarkFrontendPipeline/BenchmarkFrontendPipelineFresh<=0.50@allocs"},
+		maxRatio:         1,
+	}
+	var out, errOut strings.Builder
+	if failed := g.check(cur, &out, &errOut); failed != 2 {
+		t.Fatalf("check = %d failures, want 2", failed)
+	}
+	for _, name := range []string{"BenchmarkFrontendBuildGraph allocs/op regressed", "BenchmarkFrontendPipeline allocs/op regressed"} {
+		if !strings.Contains(errOut.String(), name) {
+			t.Errorf("failures %q do not report %q", errOut.String(), name)
+		}
+	}
+	if n := strings.Count(out.String(), "\n"); n != 3 {
+		t.Errorf("want 3 passing verdicts, got %d:\n%s", n, out.String())
+	}
+	for _, name := range []string{"BenchmarkAnalyzeFilesBatched within", "BenchmarkFrontendParse allocs/op within", "ratio 0.200 within"} {
+		if !strings.Contains(out.String(), name) {
+			t.Errorf("verdicts %q do not report %q", out.String(), name)
+		}
+	}
+}

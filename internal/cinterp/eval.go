@@ -25,16 +25,16 @@ func (in *Interp) load(lv lvalue) Value {
 	if lv.cell != nil {
 		return lv.cell.val
 	}
-	return lv.arr.data[lv.elem]
+	return lv.arr.get(lv.elem)
 }
 
-func (in *Interp) store(lv lvalue, v Value) {
+func (in *Interp) store(lv lvalue, v Value) error {
 	in.traceAccess(in.addrOf(lv), true)
 	if lv.cell != nil {
 		lv.cell.val = v
-		return
+		return nil
 	}
-	lv.arr.data[lv.elem] = v
+	return lv.arr.set(lv.elem, v)
 }
 
 func (in *Interp) evalLValue(sc *scope, e cast.Expr) (lvalue, error) {
@@ -265,7 +265,9 @@ func (in *Interp) evalUnary(sc *scope, x *cast.Unary) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		in.store(lv, nv)
+		if err := in.store(lv, nv); err != nil {
+			return Value{}, err
+		}
 		if x.Postfix {
 			return old, nil
 		}
@@ -290,7 +292,9 @@ func (in *Interp) evalAssign(sc *scope, x *cast.Assign) (Value, error) {
 	if x.Op == "=" {
 		// preserve the declared kind of the destination
 		cur := lv.peek()
-		in.store(lv, coerce(rhs, cur.IsFloat))
+		if err := in.store(lv, coerce(rhs, cur.IsFloat)); err != nil {
+			return Value{}, err
+		}
 		return rhs, nil
 	}
 	old := in.load(lv)
@@ -299,7 +303,9 @@ func (in *Interp) evalAssign(sc *scope, x *cast.Assign) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	in.store(lv, coerce(nv, old.IsFloat))
+	if err := in.store(lv, coerce(nv, old.IsFloat)); err != nil {
+		return Value{}, err
+	}
 	return nv, nil
 }
 
@@ -308,7 +314,7 @@ func (lv lvalue) peek() Value {
 	if lv.cell != nil {
 		return lv.cell.val
 	}
-	return lv.arr.data[lv.elem]
+	return lv.arr.get(lv.elem)
 }
 
 func (in *Interp) evalCall(sc *scope, x *cast.Call) (Value, error) {

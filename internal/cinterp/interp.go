@@ -47,27 +47,6 @@ type cell struct {
 	val Value
 }
 
-// array is a (possibly multi-dimensional) dense array object.
-type array struct {
-	id   int
-	dims []int64
-	data []Value
-}
-
-func (a *array) flatten(idx []int64) (int64, error) {
-	if len(idx) != len(a.dims) {
-		return 0, fmt.Errorf("array rank mismatch: %d subscripts, %d dims", len(idx), len(a.dims))
-	}
-	var flat int64
-	for d, i := range idx {
-		if i < 0 || i >= a.dims[d] {
-			return 0, fmt.Errorf("index %d out of bounds [0,%d)", i, a.dims[d])
-		}
-		flat = flat*a.dims[d] + i
-	}
-	return flat, nil
-}
-
 // binding is what a name resolves to.
 type binding struct {
 	cell *cell
@@ -125,10 +104,13 @@ type Interp struct {
 	Watched    map[string]Addr
 
 	// CaptureNames asks for a snapshot of these variables' values when the
-	// instrumented loop exits (on any path); results land in Captured.
-	// Names that do not resolve at the loop's scope are simply absent.
+	// instrumented loop exits (on any path); the last exit's values land in
+	// Captured, complete once Run returns. Names that do not resolve at the
+	// loop's scope are simply absent.
 	CaptureNames []string
 	Captured     map[string]Capture
+	// snaps holds the last capture's array snapshots until Run returns.
+	snaps map[string]*array
 
 	// ReverseOrder executes the instrumented loop's iterations back to
 	// front: the induction-variable sequence is simulated first (condition
@@ -141,6 +123,8 @@ type Interp struct {
 	ReverseIndVar string
 
 	nextID int
+	// cellsLeft is the run's array cell budget (maxRunCells at start).
+	cellsLeft int64
 }
 
 // New prepares an interpreter for the file.
@@ -175,6 +159,8 @@ type execState struct {
 
 // Run executes main() and returns its exit value.
 func (in *Interp) Run() (Value, error) {
+	defer in.densifyCaptures()
+	in.cellsLeft = maxRunCells
 	in.globals = newScope(nil)
 	for _, g := range in.file.Globals {
 		if err := in.declare(in.globals, g); err != nil {
@@ -201,19 +187,26 @@ func (in *Interp) newCell(v Value) *cell {
 	return &cell{id: in.nextID, val: v}
 }
 
-func (in *Interp) newArray(dims []int64) (*array, error) {
+func (in *Interp) newArray(dims []int64, isFloat bool) (*array, error) {
 	total := int64(1)
 	for _, d := range dims {
 		if d <= 0 {
 			return nil, fmt.Errorf("non-positive array dimension %d", d)
 		}
 		total *= d
-		if total > 4_000_000 {
+		if total > maxArrayCells {
 			return nil, &ErrUnsupported{What: "array too large for interpretation"}
 		}
 	}
 	in.nextID++
-	return &array{id: in.nextID, dims: dims, data: make([]Value, total)}, nil
+	return &array{
+		id:      in.nextID,
+		dims:    dims,
+		size:    total,
+		isFloat: isFloat,
+		chunks:  make([]*chunk, (total+chunkMask)>>chunkShift),
+		left:    &in.cellsLeft,
+	}, nil
 }
 
 func (in *Interp) declare(sc *scope, d *cast.VarDecl) error {
@@ -232,15 +225,9 @@ func (in *Interp) declare(sc *scope, d *cast.VarDecl) error {
 			}
 			dims[i] = v.AsInt()
 		}
-		arr, err := in.newArray(dims)
+		arr, err := in.newArray(dims, typeIsFloat(d.Type))
 		if err != nil {
 			return err
-		}
-		isFloat := typeIsFloat(d.Type)
-		for i := range arr.data {
-			if isFloat {
-				arr.data[i] = FloatVal(0)
-			}
 		}
 		if d.Init != nil {
 			lst, ok := d.Init.(*cast.InitList)
@@ -278,7 +265,7 @@ func (in *Interp) declare(sc *scope, d *cast.VarDecl) error {
 
 func (in *Interp) fillInit(sc *scope, arr *array, lst *cast.InitList) error {
 	flat := flattenInit(lst)
-	if int64(len(flat)) > int64(len(arr.data)) {
+	if int64(len(flat)) > arr.size {
 		return fmt.Errorf("too many initializers")
 	}
 	for i, e := range flat {
@@ -286,7 +273,9 @@ func (in *Interp) fillInit(sc *scope, arr *array, lst *cast.InitList) error {
 		if err != nil {
 			return err
 		}
-		arr.data[i] = v
+		if err := arr.set(int64(i), v); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -9,10 +9,13 @@ type Capture struct {
 	Array  []Value
 }
 
-// captureNow snapshots every CaptureNames binding visible at the
-// instrumented loop's scope into Captured.
+// captureNow records every CaptureNames binding visible at the
+// instrumented loop's scope, replacing the previous exit's record: a
+// scalar's value goes straight into Captured, an array is snapshotted
+// (chunk pointers only) until Run densifies it.
 func (in *Interp) captureNow(sc *scope) {
 	in.Captured = map[string]Capture{}
+	in.snaps = map[string]*array{}
 	for _, name := range in.CaptureNames {
 		b, ok := sc.lookup(name)
 		if !ok {
@@ -23,9 +26,20 @@ func (in *Interp) captureNow(sc *scope) {
 			v := b.cell.val
 			in.Captured[name] = Capture{Scalar: &v}
 		case b.arr != nil:
-			in.Captured[name] = Capture{Array: append([]Value(nil), b.arr.data...)}
+			in.snaps[name] = b.arr.snapshot()
 		}
 	}
+}
+
+// densifyCaptures turns the last exit's array snapshots into dense
+// Captured entries, once, when Run returns.
+func (in *Interp) densifyCaptures() {
+	for _, name := range in.CaptureNames {
+		if s, ok := in.snaps[name]; ok {
+			in.Captured[name] = Capture{Array: s.dense()}
+		}
+	}
+	in.snaps = nil
 }
 
 // execForReversed runs the instrumented loop back to front. Phase one

@@ -6,6 +6,13 @@
 // missing main, unknown functions, unsupported constructs, runaway loops —
 // fail with an error, which is exactly the coverage gap dynamic tools have
 // in the paper (only 3.7% of dataset loops are processable by DiscoPoP).
+//
+// Arrays are stored in fixed-size chunks that are created on first write,
+// so a declared but untouched array costs almost nothing. A run may create
+// at most maxRunCells array cells; past that it fails with ErrUnsupported,
+// like a call stack deeper than maxCallDepth. Captures at the traced
+// loop's exits share chunks with the live arrays (copy on write), and Run
+// turns the last one into dense slices when it returns.
 package cinterp
 
 import (

@@ -248,7 +248,9 @@ func TestAnalyzeRejectsBadInput(t *testing.T) {
 // TestHostileSourcesKeepServing sends the two inputs that used to end the
 // process with a stack overflow: a program whose DiscoPoP run recurses
 // without bound (200, DiscoPoP not profilable) and an expression nested
-// one level past cparse.MaxDepth (422 unparsable_source). The next
+// one level past cparse.MaxDepth (422 unparsable_source). It also sends a
+// program whose arrays would take 480 MB of interpreter memory (200,
+// DiscoPoP not profilable: the run's cell budget refuses it). The next
 // ordinary request is still served.
 func TestHostileSourcesKeepServing(t *testing.T) {
 	ts := server(t)
@@ -259,16 +261,34 @@ int main() {
     return s;
 }
 `
-	var resp analyzeResponse
-	if code := postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: recursive}, &resp); code != http.StatusOK {
-		t.Fatalf("runaway recursion: status = %d, want 200", code)
-	}
-	if len(resp.Reports) != 1 {
-		t.Fatalf("runaway recursion: reports = %d, want 1", len(resp.Reports))
-	}
-	for _, tv := range resp.Reports[0].Tools {
-		if tv.Tool == "DiscoPoP" && tv.Processable {
-			t.Errorf("runaway recursion: DiscoPoP processed it: %+v", tv)
+	const hugeArrays = `int a[4000000];
+int b[4000000];
+int c[4000000];
+int d[4000000];
+int e[4000000];
+int main() {
+    int i;
+    for (i = 0; i < 4000000; i += 256) {
+        a[i] = 1; b[i] = 1; c[i] = 1; d[i] = 1; e[i] = 1;
+    }
+    return 0;
+}
+`
+	for _, tc := range []struct{ name, src string }{
+		{"runaway recursion", recursive},
+		{"huge arrays", hugeArrays},
+	} {
+		var resp analyzeResponse
+		if code := postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: tc.src}, &resp); code != http.StatusOK {
+			t.Fatalf("%s: status = %d, want 200", tc.name, code)
+		}
+		if len(resp.Reports) != 1 {
+			t.Fatalf("%s: reports = %d, want 1", tc.name, len(resp.Reports))
+		}
+		for _, tv := range resp.Reports[0].Tools {
+			if tv.Tool == "DiscoPoP" && tv.Processable {
+				t.Errorf("%s: DiscoPoP processed it: %+v", tc.name, tv)
+			}
 		}
 	}
 
@@ -278,6 +298,7 @@ int main() {
 		t.Errorf("deep nesting: status %d code %q, want 422 %q", code, e.Error.Code, codeUnparsable)
 	}
 
+	var resp analyzeResponse
 	if code := postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: program}, &resp); code != http.StatusOK || len(resp.Reports) != 4 {
 		t.Errorf("next request: status %d with %d reports, want 200 with 4", code, len(resp.Reports))
 	}
