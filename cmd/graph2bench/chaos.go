@@ -29,7 +29,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"graph2par"
@@ -167,9 +166,9 @@ func chaosRun(cfg chaosConfig) int {
 
 	fmt.Printf("graph2bench: chaos: %d replicas, victim %s killed at %s, restarted at %s, load %g qps for %s at %d survivors\n",
 		cfg.replicas, fleet.urls[victim], cfg.killAt, cfg.restartAt, cfg.qps, cfg.duration, len(targets))
-	outcomes, sent, dropped, elapsed := runMulti(targets, func(i uint64) string {
+	outcomes, sent, dropped, elapsed := run(targets, func(i uint64) string {
 		return corpus[i%uint64(len(corpus))]
-	}, cfg.qps, cfg.duration, cfg.concurrency)
+	}, cfg.qps, cfg.duration, cfg.concurrency, 0)
 
 	restarted.Wait()
 	if restartErr != nil {
@@ -392,67 +391,6 @@ func (f *chaosFleet) shutdown() {
 	for i := range f.snapshot() {
 		f.kill(i)
 	}
-}
-
-// runMulti is the open-loop driver of run(), fanned over several target
-// replicas round-robin (the load balancer a real fleet would have).
-func runMulti(targets []string, gen func(uint64) string, qps float64, duration time.Duration, concurrency int) ([]outcome, uint64, uint64, float64) {
-	if qps <= 0 {
-		qps = 1
-	}
-	interval := time.Duration(float64(time.Second) / qps)
-	client := &http.Client{
-		Timeout: 60 * time.Second,
-		Transport: &http.Transport{
-			MaxIdleConns:        concurrency,
-			MaxIdleConnsPerHost: concurrency,
-		},
-	}
-
-	var (
-		mu       sync.Mutex
-		outcomes []outcome
-		wg       sync.WaitGroup
-		sent     atomic.Uint64
-		dropped  atomic.Uint64
-	)
-	sem := make(chan struct{}, concurrency)
-	start := time.Now()
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	deadline := time.After(duration)
-
-	var i uint64
-loop:
-	for {
-		select {
-		case <-deadline:
-			break loop
-		case <-ticker.C:
-			select {
-			case sem <- struct{}{}:
-			default:
-				dropped.Add(1)
-				i++
-				continue
-			}
-			sent.Add(1)
-			src := gen(i)
-			target := targets[i%uint64(len(targets))]
-			i++
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				o := exchange(client, target, src, 0)
-				mu.Lock()
-				outcomes = append(outcomes, o)
-				mu.Unlock()
-			}()
-		}
-	}
-	wg.Wait()
-	return outcomes, sent.Load(), dropped.Load(), time.Since(start).Seconds()
 }
 
 // analyzeOnce POSTs one source and returns the canonical marshalling of

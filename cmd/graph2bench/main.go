@@ -203,7 +203,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	outcomes, sent, dropped, elapsed := run(target, gen, *qps, *duration, *concurrency, *deadlineMS)
+	outcomes, sent, dropped, elapsed := run([]string{target}, gen, *qps, *duration, *concurrency, *deadlineMS)
 
 	rep := summarize(outcomes, sent, dropped, elapsed)
 	rep.Config = configEcho{
@@ -313,7 +313,9 @@ func syntheticSource(i uint64, work int) string {
 }
 
 // run generates the open-loop arrival schedule and collects outcomes.
-func run(target string, gen func(uint64) string, qps float64, duration time.Duration, concurrency int, deadlineMS int64) ([]outcome, uint64, uint64, float64) {
+// Arrivals go to the targets round-robin (the load balancer a real fleet
+// would have).
+func run(targets []string, gen func(uint64) string, qps float64, duration time.Duration, concurrency int, deadlineMS int64) ([]outcome, uint64, uint64, float64) {
 	if qps <= 0 {
 		qps = 1
 	}
@@ -359,6 +361,7 @@ loop:
 			}
 			sent.Add(1)
 			src := gen(i)
+			target := targets[i%uint64(len(targets))]
 			i++
 			wg.Add(1)
 			go func() {

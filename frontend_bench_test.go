@@ -45,11 +45,10 @@ func frontendVocab(b *testing.B, sources []string) *auggraph.Vocab {
 		if err != nil {
 			b.Fatal(err)
 		}
-		funcs, loops := collectLoops(file)
 		opts := auggraph.Default()
-		opts.Funcs = funcs
-		for _, loop := range loops {
-			vocab.Add(auggraph.Build(loop, opts))
+		opts.Funcs = file.DefinedFuncs()
+		for _, l := range file.Loops() {
+			vocab.Add(auggraph.Build(l.Loop, opts))
 		}
 	}
 	return vocab
@@ -111,9 +110,9 @@ func BenchmarkFrontendBuildGraph(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		funcs, ls := collectLoops(file)
-		for _, l := range ls {
-			loops = append(loops, prepared{loop: l, funcs: funcs})
+		funcs := file.DefinedFuncs()
+		for _, l := range file.Loops() {
+			loops = append(loops, prepared{loop: l.Loop, funcs: funcs})
 		}
 	}
 	builder := auggraph.NewBuilder()
@@ -144,13 +143,12 @@ func BenchmarkFrontendEncode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		funcs, ls := collectLoops(file)
 		opts := auggraph.Default()
-		opts.Funcs = funcs
-		for _, l := range ls {
+		opts.Funcs = file.DefinedFuncs()
+		for _, l := range file.Loops() {
 			// Detached graphs survive the per-pass Reset below, which then
 			// only recycles the encodings.
-			graphs = append(graphs, builder.BuildDetached(l, opts))
+			graphs = append(graphs, builder.BuildDetached(l.Loop, opts))
 		}
 	}
 	b.ReportAllocs()
@@ -182,11 +180,10 @@ func BenchmarkFrontendPipeline(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			funcs, loops := collectLoops(file)
 			opts := auggraph.Default()
-			opts.Funcs = funcs
-			for _, loop := range loops {
-				g := scr.Graph.Build(loop, opts)
+			opts.Funcs = file.DefinedFuncs()
+			for _, l := range file.Loops() {
+				g := scr.Graph.Build(l.Loop, opts)
 				enc := scr.Graph.Encode(vocab, g)
 				total += len(enc.KindIDs)
 			}
@@ -215,11 +212,10 @@ func BenchmarkFrontendPipelineFresh(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			funcs, loops := collectLoops(file)
 			opts := auggraph.Default()
-			opts.Funcs = funcs
-			for _, loop := range loops {
-				g := auggraph.Build(loop, opts)
+			opts.Funcs = file.DefinedFuncs()
+			for _, l := range file.Loops() {
+				g := auggraph.Build(l.Loop, opts)
 				enc := vocab.Encode(g)
 				total += len(enc.KindIDs)
 			}

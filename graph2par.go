@@ -637,37 +637,22 @@ func (e *Engine) RewriteSourceContext(ctx context.Context, src string) (*Rewrite
 	return &RewriteResult{Output: out, Changed: changed, Reports: reports}, nil
 }
 
-// collectLoops harvests a parsed file's loops and its defined-function
-// map — the shared front half of AnalyzeSource and AnalyzeFiles.
-func collectLoops(file *cast.File) (map[string]*cast.FuncDecl, []cast.Stmt) {
-	funcs := map[string]*cast.FuncDecl{}
-	for _, fn := range file.Funcs {
-		if fn.Body != nil {
-			funcs[fn.Name] = fn
-		}
+// fileJobs lists a parsed file's loops as analysis jobs sharing one
+// defined-function map: the front half of AnalyzeSource and AnalyzeFiles.
+func fileJobs(file *cast.File, fileKey string) []loopJob {
+	funcs := file.DefinedFuncs()
+	loops := file.Loops()
+	jobs := make([]loopJob, len(loops))
+	for i, l := range loops {
+		jobs[i] = loopJob{loop: l.Loop, file: file, funcs: funcs, fileKey: fileKey}
 	}
-	var loops []cast.Stmt
-	for _, fn := range file.Funcs {
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			switch n.(type) {
-			case *cast.For, *cast.While:
-				loops = append(loops, n.(cast.Stmt))
-			}
-			return true
-		})
-	}
-	return funcs, loops
+	return jobs
 }
 
 // analyzeFileLoops fans loop analysis of one parsed file out over the
 // worker pool, preserving line-sorted output.
 func (e *Engine) analyzeFileLoops(ctx context.Context, file *cast.File, fileKey string, ss *scratchSet) []LoopReport {
-	funcs, loops := collectLoops(file)
-	jobs := make([]loopJob, len(loops))
-	for i, loop := range loops {
-		jobs[i] = loopJob{loop: loop, file: file, funcs: funcs, fileKey: fileKey}
-	}
-	reports := e.analyzeJobs(ctx, jobs, ss)
+	reports := e.analyzeJobs(ctx, fileJobs(file, fileKey), ss)
 	sort.SliceStable(reports, func(i, j int) bool { return reports[i].Line < reports[j].Line })
 	return reports
 }
@@ -864,13 +849,12 @@ func (e *Engine) AnalyzeFilesContext(ctx context.Context, sources map[string]str
 		if file == nil {
 			continue
 		}
-		funcs, loops := collectLoops(file)
 		fileKey := ""
 		if e.cache != nil {
 			fileKey = sourceCacheKey(sources[names[i]])
 		}
-		for _, loop := range loops {
-			jobs = append(jobs, loopJob{loop: loop, file: file, funcs: funcs, fileKey: fileKey})
+		for _, job := range fileJobs(file, fileKey) {
+			jobs = append(jobs, job)
 			jobFile = append(jobFile, i)
 		}
 	}

@@ -197,3 +197,28 @@ func TestRunawayRecursionIsNotProfilable(t *testing.T) {
 		}
 	}
 }
+
+// prototypeProgram declares g before main calls it and defines it after:
+// the forward declaration real C files routinely carry. A prototype has
+// no body, and every loop walk must skip it.
+const prototypeProgram = "int g(int x);\nint main() { int i, s = 0; for (i = 0; i < 4; i++) s += g(i); return s; }\nint g(int x) { return x * 2; }"
+
+// TestPrototypeSource runs a file with a prototype through every
+// file-level entry point, with the verify and rewrite stages on.
+func TestPrototypeSource(t *testing.T) {
+	e := *engine(t)
+	e.SetVerify(true)
+	e.SetRewrite(true)
+	reports, err := e.AnalyzeSource(prototypeProgram)
+	if err != nil || len(reports) != 1 {
+		t.Fatalf("AnalyzeSource: %d reports, %v; want 1 report", len(reports), err)
+	}
+	files, err := e.AnalyzeFiles(map[string]string{"proto.c": prototypeProgram})
+	if err != nil || len(files["proto.c"]) != 1 {
+		t.Fatalf("AnalyzeFiles: %d reports, %v; want 1 report", len(files["proto.c"]), err)
+	}
+	res, err := e.RewriteSource(prototypeProgram)
+	if err != nil || len(res.Reports) != 1 {
+		t.Fatalf("RewriteSource: %v, %v; want 1 report", res, err)
+	}
+}

@@ -30,24 +30,6 @@ func findReds(body cast.Stmt, iv string) []depend.ReductionOp {
 	return depend.FindReductions(body, map[string]bool{iv: true})
 }
 
-// reductionHint returns the first reduction's operator and variable for the
-// pragma suggestion string.
-func reductionHint(loop cast.Stmt) (op, v string) {
-	body := loopBody(loop)
-	if body == nil {
-		return "", ""
-	}
-	iv := ""
-	if f, ok := loop.(*cast.For); ok {
-		iv = inductionVarName(f)
-	}
-	reds := findReds(body, iv)
-	if len(reds) == 0 {
-		return "", ""
-	}
-	return reds[0].Op, reds[0].Var
-}
-
 // hasPrivatizableTemp reports whether the body has a write-before-read
 // scalar other than the induction variable.
 func hasPrivatizableTemp(body cast.Stmt, iv string) bool {
@@ -57,13 +39,7 @@ func hasPrivatizableTemp(body cast.Stmt, iv string) bool {
 // privatizableVars lists write-before-read scalars (sorted), excluding
 // block-local declarations which need no clause.
 func privatizableVars(body cast.Stmt, iv string) []string {
-	declared := map[string]bool{}
-	cast.Walk(body, func(n cast.Node) bool {
-		if d, ok := n.(*cast.VarDecl); ok {
-			declared[d.Name] = true
-		}
-		return true
-	})
+	declared := cast.DeclaredNames(body)
 	var out []string
 	for name, cl := range depend.ClassifyScalars(body, iv, true) {
 		if name == iv || declared[name] {

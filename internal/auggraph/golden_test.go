@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"graph2par/internal/cast"
 	"graph2par/internal/cparse"
 )
 
@@ -84,13 +83,7 @@ func buildFromSource(t *testing.T, src, file string, opts Options) *Graph {
 		if err != nil {
 			t.Fatalf("parse file: %v", err)
 		}
-		funcs := map[string]*cast.FuncDecl{}
-		for _, fn := range f.Funcs {
-			if fn.Body != nil {
-				funcs[fn.Name] = fn
-			}
-		}
-		opts.Funcs = funcs
+		opts.Funcs = f.DefinedFuncs()
 	}
 	return Build(loop, opts)
 }

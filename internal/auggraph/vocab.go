@@ -1,9 +1,5 @@
 package auggraph
 
-import (
-	"sort"
-)
-
 // Vocab maps heterogeneous node kinds and textual attributes to dense
 // integer IDs for the neural models. Index 0 of each table is reserved for
 // unknown/out-of-vocabulary entries so a model trained on one corpus can be
@@ -91,14 +87,6 @@ func (v *Vocab) RestoreLists(kinds, attrs, types []string) {
 	v.kindList = append([]string(nil), kinds...)
 	v.attrList = append([]string(nil), attrs...)
 	v.typeList = append([]string(nil), types...)
-}
-
-// SortedKinds returns the registered kinds sorted alphabetically (for
-// deterministic reporting, not for ID lookup).
-func (v *Vocab) SortedKinds() []string {
-	out := append([]string(nil), v.kindList...)
-	sort.Strings(out)
-	return out
 }
 
 // Encoded is the dense integer encoding of one graph, ready for the HGT.

@@ -3,19 +3,25 @@
 // of the augmented AST graph, so the type taxonomy here deliberately mirrors
 // the Clang-style spelling the paper's figures use (ForStmt, BinaryOperator,
 // CallExpr, ...).
+//
+// AppendChildren is the one list of a node's children and Walk the one
+// traversal built on it. The AST questions the later stages ask are
+// answered here once: a file's loops with their functions (File.Loops),
+// its defined functions (File.DefinedFuncs), a node's enclosing function
+// (File.EnclosingFunc), the names declared under a node (DeclaredNames)
+// and a struct's definition (File.StructByName).
 package cast
 
 import "graph2par/internal/clex"
 
-// Node is implemented by every AST node.
+// Node is implemented by every AST node. AppendChildren lists its
+// children.
 type Node interface {
 	// Kind returns the Clang-style node kind name used as the
 	// heterogeneous node type in the aug-AST.
 	Kind() string
 	// Pos returns the source position of the node's first token.
 	Pos() clex.Pos
-	// Children returns the node's children in source order.
-	Children() []Node
 }
 
 // Expr is implemented by all expression nodes.
@@ -199,45 +205,6 @@ func (n *SizeofExpr) Pos() clex.Pos  { return n.P }
 func (n *Comma) Pos() clex.Pos       { return n.P }
 func (n *InitList) Pos() clex.Pos    { return n.P }
 
-func (n *Ident) Children() []Node     { return nil }
-func (n *IntLit) Children() []Node    { return nil }
-func (n *FloatLit) Children() []Node  { return nil }
-func (n *CharLit) Children() []Node   { return nil }
-func (n *StringLit) Children() []Node { return nil }
-func (n *Unary) Children() []Node     { return []Node{n.X} }
-func (n *Binary) Children() []Node    { return []Node{n.X, n.Y} }
-func (n *Assign) Children() []Node    { return []Node{n.LHS, n.RHS} }
-func (n *Conditional) Children() []Node {
-	return []Node{n.Cond, n.Then, n.Else}
-}
-func (n *Call) Children() []Node {
-	out := make([]Node, 0, len(n.Args)+1)
-	out = append(out, n.Fun)
-	for _, a := range n.Args {
-		out = append(out, a)
-	}
-	return out
-}
-func (n *Index) Children() []Node  { return []Node{n.Arr, n.Idx} }
-func (n *Member) Children() []Node { return []Node{n.X} }
-func (n *CastExpr) Children() []Node {
-	return []Node{n.X}
-}
-func (n *SizeofExpr) Children() []Node {
-	if n.X != nil {
-		return []Node{n.X}
-	}
-	return nil
-}
-func (n *Comma) Children() []Node { return []Node{n.X, n.Y} }
-func (n *InitList) Children() []Node {
-	out := make([]Node, len(n.Elems))
-	for i, e := range n.Elems {
-		out[i] = e
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Statements
 
@@ -394,64 +361,6 @@ func (n *Goto) Pos() clex.Pos       { return n.P }
 func (n *Empty) Pos() clex.Pos      { return n.P }
 func (n *PragmaStmt) Pos() clex.Pos { return n.P }
 
-func (n *ExprStmt) Children() []Node { return []Node{n.X} }
-func (n *DeclStmt) Children() []Node {
-	out := make([]Node, len(n.Decls))
-	for i, d := range n.Decls {
-		out[i] = d
-	}
-	return out
-}
-func (n *Compound) Children() []Node {
-	out := make([]Node, len(n.Items))
-	for i, s := range n.Items {
-		out[i] = s
-	}
-	return out
-}
-func (n *If) Children() []Node {
-	out := []Node{n.Cond, n.Then}
-	if n.Else != nil {
-		out = append(out, n.Else)
-	}
-	return out
-}
-func (n *For) Children() []Node {
-	var out []Node
-	if n.Init != nil {
-		out = append(out, n.Init)
-	}
-	if n.Cond != nil {
-		out = append(out, n.Cond)
-	}
-	if n.Post != nil {
-		out = append(out, n.Post)
-	}
-	out = append(out, n.Body)
-	return out
-}
-func (n *While) Children() []Node   { return []Node{n.Cond, n.Body} }
-func (n *DoWhile) Children() []Node { return []Node{n.Body, n.Cond} }
-func (n *Return) Children() []Node {
-	if n.X != nil {
-		return []Node{n.X}
-	}
-	return nil
-}
-func (n *Break) Children() []Node    { return nil }
-func (n *Continue) Children() []Node { return nil }
-func (n *Switch) Children() []Node   { return []Node{n.Cond, n.Body} }
-func (n *Case) Children() []Node {
-	if n.Val != nil {
-		return []Node{n.Val}
-	}
-	return nil
-}
-func (n *Label) Children() []Node      { return nil }
-func (n *Goto) Children() []Node       { return nil }
-func (n *Empty) Children() []Node      { return nil }
-func (n *PragmaStmt) Children() []Node { return nil }
-
 // ---------------------------------------------------------------------------
 // Declarations
 
@@ -467,18 +376,6 @@ type VarDecl struct {
 
 func (n *VarDecl) Kind() string  { return "VarDecl" }
 func (n *VarDecl) Pos() clex.Pos { return n.P }
-func (n *VarDecl) Children() []Node {
-	var out []Node
-	for _, d := range n.ArrayDims {
-		if d != nil {
-			out = append(out, d)
-		}
-	}
-	if n.Init != nil {
-		out = append(out, n.Init)
-	}
-	return out
-}
 
 // Param is a function parameter.
 type Param struct {
@@ -489,9 +386,8 @@ type Param struct {
 	P         clex.Pos
 }
 
-func (n *Param) Kind() string     { return "ParmVarDecl" }
-func (n *Param) Pos() clex.Pos    { return n.P }
-func (n *Param) Children() []Node { return nil }
+func (n *Param) Kind() string  { return "ParmVarDecl" }
+func (n *Param) Pos() clex.Pos { return n.P }
 
 // FuncDecl is a function definition (Body != nil) or prototype (Body == nil).
 type FuncDecl struct {
@@ -504,16 +400,6 @@ type FuncDecl struct {
 
 func (n *FuncDecl) Kind() string  { return "FunctionDecl" }
 func (n *FuncDecl) Pos() clex.Pos { return n.P }
-func (n *FuncDecl) Children() []Node {
-	out := make([]Node, 0, len(n.Params)+1)
-	for _, p := range n.Params {
-		out = append(out, p)
-	}
-	if n.Body != nil {
-		out = append(out, n.Body)
-	}
-	return out
-}
 
 // StructDef is a struct type definition with scalar/array fields.
 type StructDef struct {
@@ -524,13 +410,6 @@ type StructDef struct {
 
 func (n *StructDef) Kind() string  { return "RecordDecl" }
 func (n *StructDef) Pos() clex.Pos { return n.P }
-func (n *StructDef) Children() []Node {
-	out := make([]Node, len(n.Fields))
-	for i, f := range n.Fields {
-		out[i] = f
-	}
-	return out
-}
 
 // File is a parsed translation unit.
 type File struct {
@@ -550,22 +429,87 @@ func (n *File) StructByName(name string) *StructDef {
 	return nil
 }
 
-func (n *File) Kind() string  { return "TranslationUnitDecl" }
-func (n *File) Pos() clex.Pos { return n.P }
-func (n *File) Children() []Node {
-	out := make([]Node, 0, len(n.Globals)+len(n.Funcs))
-	for _, g := range n.Globals {
-		out = append(out, g)
-	}
-	for _, f := range n.Funcs {
-		out = append(out, f)
+// FuncLoop is one for or while loop of a file and the defined function
+// whose body holds it.
+type FuncLoop struct {
+	Fn   *FuncDecl
+	Loop Stmt
+}
+
+// Loops returns every for and while loop of the file's defined
+// functions, function by function, each body in Walk order. Prototypes
+// have no body and hold no loop. The engine, the verifier and the
+// rewriter all index a file's loops by this order.
+func (n *File) Loops() []FuncLoop {
+	var out []FuncLoop
+	for _, fn := range n.Funcs {
+		if fn.Body == nil {
+			continue
+		}
+		Walk(fn.Body, func(c Node) bool {
+			switch c.(type) {
+			case *For, *While:
+				out = append(out, FuncLoop{Fn: fn, Loop: c.(Stmt)})
+			}
+			return true
+		})
 	}
 	return out
 }
+
+// DefinedFuncs maps the name of each function the file defines to its
+// declaration. Prototypes are left out; a later definition of a name
+// replaces an earlier one.
+func (n *File) DefinedFuncs() map[string]*FuncDecl {
+	out := map[string]*FuncDecl{}
+	for _, fn := range n.Funcs {
+		if fn.Body != nil {
+			out[fn.Name] = fn
+		}
+	}
+	return out
+}
+
+// EnclosingFunc returns the first defined function whose body holds node
+// (compared by identity), or nil.
+func (n *File) EnclosingFunc(node Node) *FuncDecl {
+	for _, fn := range n.Funcs {
+		if fn.Body == nil {
+			continue
+		}
+		found := false
+		Walk(fn.Body, func(c Node) bool {
+			if c == node {
+				found = true
+			}
+			return !found
+		})
+		if found {
+			return fn
+		}
+	}
+	return nil
+}
+
+func (n *File) Kind() string  { return "TranslationUnitDecl" }
+func (n *File) Pos() clex.Pos { return n.P }
 
 // CountNodes returns the number of nodes in the subtree rooted at n.
 func CountNodes(n Node) int {
 	count := 0
 	Walk(n, func(Node) bool { count++; return true })
 	return count
+}
+
+// DeclaredNames returns the name of every variable declared anywhere
+// under n.
+func DeclaredNames(n Node) map[string]bool {
+	out := map[string]bool{}
+	Walk(n, func(c Node) bool {
+		if d, ok := c.(*VarDecl); ok {
+			out[d.Name] = true
+		}
+		return true
+	})
+	return out
 }

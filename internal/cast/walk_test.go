@@ -5,22 +5,94 @@ import (
 	"testing"
 )
 
-// walkRec is the original recursive Walk, kept as the reference semantics
-// the iterative pooled version must match.
+var (
+	nodeType = reflect.TypeOf((*Node)(nil)).Elem()
+	exprType = reflect.TypeOf((*Expr)(nil)).Elem()
+)
+
+// fieldChildren is the reference list of n's children, read off its
+// struct fields in declaration order: every non-nil field or slice element
+// whose type is a node. File is the exception AppendChildren documents:
+// Globals come before Funcs, and Structs are not children.
+func fieldChildren(n Node) []Node {
+	var out []Node
+	if f, ok := n.(*File); ok {
+		for _, g := range f.Globals {
+			out = append(out, g)
+		}
+		for _, fn := range f.Funcs {
+			out = append(out, fn)
+		}
+		return out
+	}
+	add := func(v reflect.Value) {
+		if v.Type().Implements(nodeType) && !v.IsNil() {
+			out = append(out, v.Interface().(Node))
+		}
+	}
+	v := reflect.ValueOf(n).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			for j := 0; j < f.Len(); j++ {
+				add(f.Index(j))
+			}
+		} else {
+			add(f)
+		}
+	}
+	return out
+}
+
+// walkRec is the recursive pre-order reference the pooled Walk must match.
 func walkRec(n Node, fn func(Node) bool) {
-	if n == nil {
+	if n == nil || !fn(n) {
 		return
 	}
-	if !fn(n) {
-		return
-	}
-	for _, c := range n.Children() {
+	for _, c := range fieldChildren(n) {
 		walkRec(c, fn)
 	}
 }
 
-// buildRichAST constructs (by hand) an AST exercising every node type, so
-// AppendChildren's type switch is checked against every Children method.
+// filledNodes returns one node of every type with each child field set to
+// a fresh node (two per slice), so a child field that AppendChildren
+// misses fails the test whether or not a test AST uses it.
+func filledNodes() []Node {
+	nodes := []Node{
+		&Ident{}, &IntLit{}, &FloatLit{}, &CharLit{}, &StringLit{}, &Unary{},
+		&Binary{}, &Assign{}, &Conditional{}, &Call{}, &Index{}, &Member{},
+		&CastExpr{}, &SizeofExpr{}, &Comma{}, &InitList{},
+		&ExprStmt{}, &DeclStmt{}, &Compound{}, &If{}, &For{}, &While{},
+		&DoWhile{}, &Return{}, &Break{}, &Continue{}, &Switch{}, &Case{},
+		&Label{}, &Goto{}, &Empty{}, &PragmaStmt{},
+		&VarDecl{}, &Param{}, &FuncDecl{}, &StructDef{}, &File{},
+	}
+	// fresh returns a new node of type t: an identifier for an expression
+	// slot, an empty statement for a statement slot.
+	fresh := func(t reflect.Type) reflect.Value {
+		switch {
+		case t.Kind() == reflect.Pointer:
+			return reflect.New(t.Elem())
+		case t == exprType:
+			return reflect.ValueOf(&Ident{})
+		}
+		return reflect.ValueOf(&Empty{})
+	}
+	for _, n := range nodes {
+		v := reflect.ValueOf(n).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			switch t := f.Type(); {
+			case t.Kind() == reflect.Slice && t.Elem().Implements(nodeType):
+				f.Set(reflect.Append(reflect.MakeSlice(t, 0, 2), fresh(t.Elem()), fresh(t.Elem())))
+			case t.Implements(nodeType):
+				f.Set(fresh(t))
+			}
+		}
+	}
+	return nodes
+}
+
+// buildRichAST constructs (by hand) an AST exercising every node type.
 func buildRichAST() Node {
 	expr := &Binary{Op: "+", X: &Ident{Name: "a"}, Y: &IntLit{Text: "1", Value: 1}}
 	initList := &InitList{Elems: []Expr{&IntLit{Text: "1"}, &FloatLit{Text: "2.0"}}}
@@ -71,31 +143,32 @@ func buildRichAST() Node {
 	}
 }
 
-// TestAppendChildrenMatchesChildren pins that AppendChildren reproduces
-// Children (nodes, order, count) for every node type.
+// TestAppendChildrenMatchesChildren pins that AppendChildren lists
+// exactly the children fieldChildren reads off the struct fields, in the
+// same order, for every node type with every child field filled and for
+// every node of the rich AST.
 func TestAppendChildrenMatchesChildren(t *testing.T) {
-	root := buildRichAST()
-	seen := 0
-	walkRec(root, func(n Node) bool {
-		seen++
-		want := n.Children()
+	check := func(n Node) {
+		want := fieldChildren(n)
 		got := AppendChildren(n, nil)
 		if len(got) != len(want) {
-			t.Fatalf("%T: AppendChildren returned %d children, Children %d", n, len(got), len(want))
+			t.Fatalf("%T: AppendChildren returned %d children, the fields hold %d", n, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("%T child %d: AppendChildren and Children disagree", n, i)
+				t.Fatalf("%T child %d: AppendChildren and the fields disagree", n, i)
 			}
 		}
+	}
+	for _, n := range filledNodes() {
+		check(n)
+	}
+	seen := 0
+	walkRec(buildRichAST(), func(n Node) bool {
+		seen++
+		check(n)
 		return true
 	})
-	// StructDef fields are not reachable from File.Children (mirroring the
-	// original traversal), so check it directly too.
-	sd := root.(*File).Structs[0]
-	if !reflect.DeepEqual(AppendChildren(sd, nil), sd.Children()) {
-		t.Fatal("StructDef children mismatch")
-	}
 	if seen < 60 {
 		t.Fatalf("rich AST only had %d nodes; extend it when adding node types", seen)
 	}

@@ -15,10 +15,12 @@ const (
 )
 
 // maxArrayCells caps one array's declared size. maxRunCells caps the
-// cells one run creates in fresh chunks, across all its arrays, so that
-// one maximal array can still be written in full; copies made for
-// snapshots do not count. The interpreter keeps at most one snapshot per
-// captured array, so a run holds at most twice maxRunCells cells.
+// cells one run holds in fresh chunks, across all its arrays, so that one
+// maximal array can still be written in full; copies made for snapshots
+// do not count. When a block ends, the cells of its arrays go back to the
+// budget unless a snapshot shares them. The interpreter keeps at most one
+// snapshot per captured array, so a run holds at most twice maxRunCells
+// cells.
 const (
 	maxArrayCells = 4_000_000
 	maxRunCells   = maxArrayCells
@@ -110,6 +112,17 @@ func (a *array) own(k int64) (*chunk, error) {
 	}
 	a.chunks[k] = c
 	return c, nil
+}
+
+// cells counts the cells the array's chunks hold.
+func (a *array) cells() int64 {
+	var n int64
+	for _, c := range a.chunks {
+		if c != nil {
+			n += int64(len(c.cells))
+		}
+	}
+	return n
 }
 
 // snapshot returns a read-only copy of the array that shares its chunks.

@@ -221,6 +221,38 @@ func TestRunCellBudget(t *testing.T) {
 			t.Fatalf("cell %d of one maximal array: %v", i, err)
 		}
 	}
+
+	// A block-local array is charged once per live copy: its cells go
+	// back to the budget when its block ends, so 20,000 declarations of
+	// 256 cells fit the 4M-cell budget.
+	const redeclared = `int main() {
+    int i, s = 0;
+    for (i = 0; i < 20000; i++) { int t[256]; t[0] = 1; s = s + t[0]; }
+    return s;
+}`
+	if v, err := run(t, redeclared); err != nil || v.AsInt() != 20000 {
+		t.Errorf("block-local array declared 20000 times: %v, %v, want 20000", v, err)
+	}
+	// A snapshot shares the array's chunks, so ending its block returns
+	// nothing.
+	in = &Interp{cellsLeft: maxRunCells}
+	for _, snap := range []bool{false, true} {
+		a, err := in.newArray([]int64{chunkCells}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.set(0, IntVal(1)); err != nil {
+			t.Fatal(err)
+		}
+		if snap {
+			a.snapshot()
+		}
+		in.declared = append(in.declared, a)
+	}
+	in.release(0)
+	if want := int64(maxRunCells - chunkCells); in.cellsLeft != want {
+		t.Errorf("after release: %d cells left, want %d (only the snapshotted array charged)", in.cellsLeft, want)
+	}
 }
 
 // nestSrc is the rewrite pool's slowest file with the harness's main: the

@@ -92,9 +92,6 @@ type Interp struct {
 	Trace     TraceFunc
 	inLoop    bool
 	iter      int
-	// IterCap, when >0, stops the instrumented loop after that many
-	// iterations (sampling, like a profiling run truncated early).
-	IterCap int
 
 	// WatchNames asks the interpreter to resolve these variable names to
 	// trace addresses when the instrumented loop is first entered; results
@@ -125,21 +122,19 @@ type Interp struct {
 	nextID int
 	// cellsLeft is the run's array cell budget (maxRunCells at start).
 	cellsLeft int64
+	// declared lists the arrays of the blocks being executed, innermost
+	// last; release hands a block's cells back when it ends. It lives here
+	// rather than in scope so that scopes stay on the Go stack.
+	declared []*array
 }
 
 // New prepares an interpreter for the file.
 func New(file *cast.File) *Interp {
-	in := &Interp{
+	return &Interp{
 		file:     file,
-		funcs:    map[string]*cast.FuncDecl{},
+		funcs:    file.DefinedFuncs(),
 		MaxSteps: 2_000_000,
 	}
-	for _, f := range file.Funcs {
-		if f.Body != nil {
-			in.funcs[f.Name] = f
-		}
-	}
-	return in
 }
 
 // control-flow signals
@@ -239,6 +234,7 @@ func (in *Interp) declare(sc *scope, d *cast.VarDecl) error {
 			}
 		}
 		sc.vars[d.Name] = binding{arr: arr}
+		in.declared = append(in.declared, arr)
 		return nil
 	}
 	if d.Pointer > 0 {
@@ -310,6 +306,20 @@ func coerce(v Value, wantFloat bool) Value {
 	return v
 }
 
+// release ends a block that began when declared held mark arrays: the
+// arrays declared since go back to the run budget, except those a
+// snapshot shares. An array never snapshotted (gen 0) was charged for
+// every chunk it holds.
+func (in *Interp) release(mark int) {
+	for _, a := range in.declared[mark:] {
+		if a.gen == 0 {
+			in.cellsLeft += a.cells()
+		}
+	}
+	clear(in.declared[mark:])
+	in.declared = in.declared[:mark]
+}
+
 func (in *Interp) traceAccess(addr Addr, write bool) {
 	if in.inLoop && in.Trace != nil {
 		in.Trace(addr, write, in.iter)
@@ -357,15 +367,15 @@ func (in *Interp) execStmt(sc *scope, s cast.Stmt, st *execState) error {
 		return nil
 	case *cast.Compound:
 		inner := newScope(sc)
+		mark := len(in.declared)
+		var err error
 		for _, it := range x.Items {
-			if err := in.execStmt(inner, it, st); err != nil {
-				return err
-			}
-			if st.sig != sigNone {
-				return nil
+			if err = in.execStmt(inner, it, st); err != nil || st.sig != sigNone {
+				break
 			}
 		}
-		return nil
+		in.release(mark)
+		return err
 	case *cast.ExprStmt:
 		_, err := in.eval(sc, x.X)
 		return err
@@ -469,8 +479,18 @@ func (in *Interp) execStmt(sc *scope, s cast.Stmt, st *execState) error {
 	}
 }
 
+// execFor runs a for statement in a scope of its own, whose arrays go
+// back to the run budget after the loop and its exit capture. The release
+// is not deferred: a second defer in runFor would keep the compiler from
+// open-coding the capture's.
 func (in *Interp) execFor(sc *scope, f *cast.For, st *execState) error {
-	inner := newScope(sc)
+	mark := len(in.declared)
+	err := in.runFor(newScope(sc), f, st)
+	in.release(mark)
+	return err
+}
+
+func (in *Interp) runFor(inner *scope, f *cast.For, st *execState) error {
 	if f.Init != nil {
 		if err := in.execStmt(inner, f.Init, st); err != nil {
 			return err
@@ -513,9 +533,6 @@ func (in *Interp) execFor(sc *scope, f *cast.For, st *execState) error {
 			}
 		}
 		if isTraced {
-			if in.IterCap > 0 && iterCount >= in.IterCap {
-				break
-			}
 			in.inLoop = true
 			in.iter = iterCount
 		}
@@ -564,6 +581,7 @@ func (in *Interp) execSwitch(sc *scope, sw *cast.Switch, st *execState) error {
 		return &ErrUnsupported{What: "non-compound switch body"}
 	}
 	inner := newScope(sc)
+	defer in.release(len(in.declared))
 	matched := false
 	defaultIdx := -1
 	for idx, it := range body.Items {

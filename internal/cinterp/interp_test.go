@@ -364,34 +364,6 @@ func TestTracingIterationsAndAddresses(t *testing.T) {
 	}
 }
 
-func TestIterCapSampling(t *testing.T) {
-	src := `int main() {
-        int s = 0;
-        for (int i = 0; i < 1000; i++) s += i;
-        return s;
-    }`
-	f, err := cparse.ParseFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := New(f)
-	in.TraceLoop = findLoop(t, f, 0)
-	in.IterCap = 10
-	seen := 0
-	in.Trace = func(a Addr, w bool, it int) {
-		if it >= 10 {
-			t.Errorf("iteration %d beyond cap", it)
-		}
-		seen++
-	}
-	if _, err := in.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if seen == 0 {
-		t.Error("no samples collected")
-	}
-}
-
 func TestCharLiteralValue(t *testing.T) {
 	v := mustRun(t, `int main() { return 'A'; }`)
 	if v.AsInt() != 65 {

@@ -69,9 +69,6 @@ func (in *Interp) execForReversed(inner *scope, f *cast.For, st *execState) erro
 		if !c.Truthy() {
 			break
 		}
-		if in.IterCap > 0 && len(ivs) >= in.IterCap {
-			break
-		}
 		ivs = append(ivs, b.cell.val)
 		if _, err := in.eval(inner, f.Post); err != nil {
 			return err

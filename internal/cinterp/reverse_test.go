@@ -145,21 +145,6 @@ func TestReversedBreakUnsupported(t *testing.T) {
 	}
 }
 
-func TestReversedHonorsIterCap(t *testing.T) {
-	in := prepTraced(t, sumSrc, 1)
-	in.ReverseOrder = true
-	in.ReverseIndVar = "i"
-	in.IterCap = 3
-	in.CaptureNames = []string{"s"}
-	if _, err := in.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	// Only iterations 0..2 replay: s = a[0]+a[1]+a[2] = 0 + 0.5 + 1.0.
-	if got := in.Captured["s"].Scalar.AsFloat(); got != 1.5 {
-		t.Errorf("capped reversed sum = %v, want 1.5", got)
-	}
-}
-
 func TestCaptureSurvivesBreak(t *testing.T) {
 	const src = `int main() {
         int i;

@@ -353,7 +353,7 @@ func TestWalkCountConsistent(t *testing.T) {
 	var count func(n cast.Node) int
 	count = func(n cast.Node) int {
 		total := 1
-		for _, c := range n.Children() {
+		for _, c := range cast.AppendChildren(n, nil) {
 			total += count(c)
 		}
 		return total

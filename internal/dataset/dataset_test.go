@@ -8,6 +8,7 @@ import (
 
 	"graph2par/internal/cast"
 	"graph2par/internal/cinterp"
+	"graph2par/internal/depend"
 	"graph2par/internal/pragma"
 	"graph2par/internal/tensor"
 )
@@ -148,7 +149,7 @@ func TestGroundTruthAgainstInterpreterOracle(t *testing.T) {
 		}
 		// Early-exit loops are non-parallel for ordering reasons the
 		// memory trace cannot see; the oracle does not apply.
-		if hasControlExit(loop.Body) {
+		if len(depend.LoopExits(loop.Body)) > 0 {
 			continue
 		}
 		// Developer-noise samples are deliberately mislabeled (parallel
@@ -227,38 +228,6 @@ func traceDeps(t *testing.T, s *Sample, loop *cast.For) (bool, bool) {
 		}
 	}
 	return false, true
-}
-
-// hasControlExit reports whether the body contains break/goto/return that
-// leaves the loop.
-func hasControlExit(body cast.Stmt) bool {
-	found := false
-	depth := 0
-	var walk func(n cast.Node)
-	walk = func(n cast.Node) {
-		switch x := n.(type) {
-		case *cast.For, *cast.While, *cast.DoWhile, *cast.Switch:
-			depth++
-			for _, ch := range n.Children() {
-				walk(ch)
-			}
-			depth--
-			return
-		case *cast.Break:
-			if depth == 0 {
-				found = true
-			}
-		case *cast.Goto, *cast.Return:
-			found = true
-		default:
-			_ = x
-		}
-		for _, ch := range n.Children() {
-			walk(ch)
-		}
-	}
-	walk(body)
-	return found
 }
 
 func inductionVar(f *cast.For) string {

@@ -156,88 +156,35 @@ func TestSubscriptVectors(f, g []Affine, iv string) DependenceResult {
 	return Dependent
 }
 
-// LoopNest returns the loops of a perfect or imperfect nest rooted at f,
-// outermost first.
-func LoopNest(f *cast.For) []*cast.For {
-	nest := []*cast.For{f}
-	cur := f.Body
-	for {
-		switch b := cur.(type) {
-		case *cast.For:
-			nest = append(nest, b)
-			cur = b.Body
-		case *cast.Compound:
-			// a compound whose only loop-bearing statement is a single for
-			var inner *cast.For
-			count := 0
-			for _, it := range b.Items {
-				if lf, ok := it.(*cast.For); ok {
-					inner = lf
-					count++
-				}
-			}
-			if count == 1 && inner != nil {
-				nest = append(nest, inner)
-				cur = inner.Body
-				continue
-			}
-			return nest
-		default:
-			return nest
-		}
-	}
-}
-
-// HasLoopExit reports whether the body can leave the loop early: a break
-// that targets this loop (depth 0), or any goto/return. OpenMP's canonical
-// loop form forbids these, so every tool rejects such loops.
-func HasLoopExit(body cast.Stmt) bool {
-	found := false
-	var walk func(n cast.Node, depth int)
-	walk = func(n cast.Node, depth int) {
-		if found || n == nil {
+// LoopExits returns the statements that leave a loop body early, in walk
+// order: each break that targets the loop itself, and every goto and
+// return. OpenMP's canonical loop form forbids all three, so every tool
+// rejects a loop that has one, and the verifier reports each.
+func LoopExits(body cast.Stmt) []cast.Stmt {
+	var exits []cast.Stmt
+	var walk func(n cast.Node, nested bool)
+	walk = func(n cast.Node, nested bool) {
+		switch x := n.(type) {
+		case nil:
 			return
-		}
-		switch n.(type) {
 		case *cast.For, *cast.While, *cast.DoWhile, *cast.Switch:
-			depth++
+			nested = true // a break in here targets x
 		case *cast.Break:
-			if depth == 0 {
-				found = true
+			if !nested {
+				exits = append(exits, x)
 			}
 			return
-		case *cast.Goto, *cast.Return:
-			found = true
+		case *cast.Goto:
+			exits = append(exits, x)
+			return
+		case *cast.Return:
+			exits = append(exits, x)
 			return
 		}
-		for _, ch := range n.Children() {
-			walk(ch, depth)
+		for _, ch := range cast.AppendChildren(n, nil) {
+			walk(ch, nested)
 		}
 	}
-	walk(body, 0)
-	return found
-}
-
-// ContainsLoop reports whether the statement contains a nested loop.
-func ContainsLoop(body cast.Stmt) bool {
-	found := false
-	cast.Walk(body, func(n cast.Node) bool {
-		switch n.(type) {
-		case *cast.For, *cast.While, *cast.DoWhile:
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// WritesAnything reports whether the body performs any write at all (used
-// to rule out trivially side-effect-free loops).
-func WritesAnything(body cast.Stmt) bool {
-	for _, a := range CollectAccesses(body) {
-		if a.Write {
-			return true
-		}
-	}
-	return false
+	walk(body, false)
+	return exits
 }

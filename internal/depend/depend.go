@@ -2,7 +2,9 @@
 // algorithm-based comparator tools (autoPar, PLUTO) are built on: loop
 // normalization, memory-access extraction, affine subscript analysis with
 // GCD/distance dependence tests, scalar usage classification, and
-// reduction-pattern recognition.
+// reduction-pattern recognition. LoopExits is the one scan for the early
+// exits (break, goto, return) that the comparator tools and the verifier
+// all reject.
 package depend
 
 import (
@@ -809,7 +811,7 @@ func ClassifyScalars(body cast.Stmt, indVar string, nestedWrites bool) map[strin
 	for _, r := range reds {
 		redSet[r.Var] = true
 	}
-	declared := declaredVars(body)
+	declared := cast.DeclaredNames(body)
 
 	// Track, in source order, the first access kind per scalar at top level
 	// and overall.
@@ -859,16 +861,5 @@ func ClassifyScalars(body cast.Stmt, indVar string, nestedWrites bool) map[strin
 			out[v] = ScalarCarried
 		}
 	}
-	return out
-}
-
-func declaredVars(body cast.Stmt) map[string]bool {
-	out := map[string]bool{}
-	cast.Walk(body, func(n cast.Node) bool {
-		if d, ok := n.(*cast.VarDecl); ok {
-			out[d.Name] = true
-		}
-		return true
-	})
 	return out
 }

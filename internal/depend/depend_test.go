@@ -353,34 +353,6 @@ func TestAnalyzeArraysStrided(t *testing.T) {
 	}
 }
 
-func TestLoopNest(t *testing.T) {
-	f := parseFor(t, `for (i = 0; i < 12; i++) {
-        for (j = 0; j < 12; j++) {
-            for (k = 0; k < 12; k++) {
-                a[i][j][k] = 1;
-            }
-        }
-    }`)
-	nest := LoopNest(f)
-	if len(nest) != 3 {
-		t.Errorf("nest depth = %d, want 3", len(nest))
-	}
-}
-
-func TestContainsLoopAndWrites(t *testing.T) {
-	f := parseFor(t, "for (i = 0; i < n; i++) { while (x) x--; }")
-	if !ContainsLoop(f.Body) {
-		t.Error("nested while not detected")
-	}
-	if !WritesAnything(f.Body) {
-		t.Error("x-- is a write")
-	}
-	f2 := parseFor(t, "for (i = 0; i < n; i++) { int unused = a[i]; }")
-	if ContainsLoop(f2.Body) {
-		t.Error("no nested loop expected")
-	}
-}
-
 func TestHasCalls(t *testing.T) {
 	f := parseFor(t, "for (i = 0; i < n; i++) e += fabs(a[i]) + g(b[i]);")
 	has, names := HasCalls(f.Body)

@@ -41,7 +41,7 @@ func deriveClauses(f *cast.For) clausePlan {
 	body := f.Body
 	scal := depend.ClassifyScalars(body, iv, true)
 	strict := depend.ClassifyScalars(body, iv, false)
-	declared := declaredIn(body)
+	declared := cast.DeclaredNames(body)
 
 	cp := clausePlan{iv: iv, declared: declared}
 
@@ -228,16 +228,4 @@ func exprReads(e cast.Expr, name string) bool {
 		return !found
 	})
 	return found
-}
-
-// declaredIn collects every variable declared inside the statement.
-func declaredIn(body cast.Stmt) map[string]bool {
-	out := map[string]bool{}
-	cast.Walk(body, func(n cast.Node) bool {
-		if d, ok := n.(*cast.VarDecl); ok {
-			out[d.Name] = true
-		}
-		return true
-	})
-	return out
 }

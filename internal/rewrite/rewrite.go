@@ -126,7 +126,7 @@ func PlanLoopWith(loop cast.Stmt, file *cast.File, checks []*verify.Check) *Loop
 	}
 	var fn *cast.FuncDecl
 	if file != nil {
-		fn = enclosingFn(file, loop)
+		fn = file.EnclosingFunc(loop)
 		if fn != nil {
 			plan.Func = fn.Name
 		}
@@ -230,17 +230,8 @@ func RewriteSourceWith(src string, checks []*verify.Check) (*FileResult, error) 
 		return nil, err
 	}
 	var plans []*LoopPlan
-	for _, fn := range file.Funcs {
-		if fn.Body == nil {
-			continue
-		}
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			switch n.(type) {
-			case *cast.For, *cast.While:
-				plans = append(plans, PlanLoopWith(n.(cast.Stmt), file, checks))
-			}
-			return true
-		})
+	for _, l := range file.Loops() {
+		plans = append(plans, PlanLoopWith(l.Loop, file, checks))
 	}
 	sort.SliceStable(plans, func(i, j int) bool { return plans[i].Line < plans[j].Line })
 	out, changed, err := Apply(src, plans)
@@ -248,24 +239,4 @@ func RewriteSourceWith(src string, checks []*verify.Check) (*FileResult, error) 
 		return nil, err
 	}
 	return &FileResult{Changed: changed, Loops: plans, Output: out}, nil
-}
-
-// enclosingFn finds the function whose body contains the loop node.
-func enclosingFn(file *cast.File, loop cast.Stmt) *cast.FuncDecl {
-	for _, fn := range file.Funcs {
-		if fn.Body == nil {
-			continue
-		}
-		found := false
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			if n == cast.Node(loop) {
-				found = true
-			}
-			return !found
-		})
-		if found {
-			return fn
-		}
-	}
-	return nil
 }

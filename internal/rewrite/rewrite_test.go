@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"graph2par/internal/cast"
 	"graph2par/internal/cparse"
 	"graph2par/internal/verify"
 )
@@ -171,7 +172,7 @@ func TestDynamicOracleCatchesRecurrence(t *testing.T) {
 		t.Fatal(err)
 	}
 	fn := file.Funcs[0]
-	f := forLoops(file)[0]
+	f := file.Loops()[0].Loop.(*cast.For)
 	out := validateDynamic(file, fn, f, deriveClauses(f))
 	if out.status != "failed" || !strings.Contains(out.detail, `cross-iteration dependence on "a"`) {
 		t.Errorf("outcome = %+v, want cross-iteration failure on a", out)
@@ -189,7 +190,7 @@ func TestHarnessSkipsUnsupportedShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := forLoops(file)[0]
+	f := file.Loops()[0].Loop.(*cast.For)
 	out := validateDynamic(file, file.Funcs[0], f, deriveClauses(f))
 	if out.status != "skipped" {
 		t.Errorf("outcome = %+v, want skipped for a rank-3 pointer parameter", out)

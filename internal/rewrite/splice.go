@@ -25,17 +25,12 @@ func Apply(src string, plans []*LoopPlan) (string, bool, error) {
 	if err != nil {
 		return "", false, fmt.Errorf("rewrite: source does not parse: %w", err)
 	}
-	origLoops := fileLoops(file)
+	origLoops := file.Loops()
 	byOffset := map[int]int{}
 	for i, l := range origLoops {
-		byOffset[l.Pos().Offset] = i
+		byOffset[l.Loop.Pos().Offset] = i
 	}
-	funcs := map[string]*cast.FuncDecl{}
-	for _, fn := range file.Funcs {
-		if fn.Body != nil {
-			funcs[fn.Name] = fn
-		}
-	}
+	funcs := file.DefinedFuncs()
 	for _, p := range plans {
 		if !p.active() {
 			continue
@@ -77,7 +72,7 @@ func Apply(src string, plans []*LoopPlan) (string, bool, error) {
 			}
 			continue
 		}
-		newLoops := fileLoops(nfile)
+		newLoops := nfile.Loops()
 		if len(newLoops) != len(origLoops) {
 			for _, p := range actives {
 				p.demote(fmt.Sprintf("rewritten source re-parses to %d loops, expected %d",
@@ -87,13 +82,13 @@ func Apply(src string, plans []*LoopPlan) (string, bool, error) {
 		}
 		for _, p := range actives {
 			i := byOffset[p.Offset]
-			nl := newLoops[i]
+			nl := newLoops[i].Loop
 			if attachedPragma(nl) != p.Pragma {
 				p.demote("directive did not attach to the rewritten loop")
 				demoted = true
 				continue
 			}
-			if !graphIdentical(origLoops[i], nl, funcs) {
+			if !graphIdentical(origLoops[i].Loop, nl, funcs) {
 				p.demote("rewritten loop's augmented graph differs from the original")
 				demoted = true
 			}
@@ -126,7 +121,7 @@ func (p *LoopPlan) demote(reason string) {
 // demoteNested drops an active plan whose loop sits inside another active
 // plan's loop: the enclosing parallel region owns the nest, and collapse
 // already covers what the inner directive would have claimed.
-func demoteNested(plans []*LoopPlan, loops []cast.Stmt, byOffset map[int]int) {
+func demoteNested(plans []*LoopPlan, loops []cast.FuncLoop, byOffset map[int]int) {
 	byOff := map[int]*LoopPlan{}
 	ordered := append([]*LoopPlan(nil), plans...)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Offset < ordered[j].Offset })
@@ -139,7 +134,7 @@ func demoteNested(plans []*LoopPlan, loops []cast.Stmt, byOffset map[int]int) {
 		if !p.active() {
 			continue
 		}
-		outer := loops[byOffset[p.Offset]]
+		outer := loops[byOffset[p.Offset]].Loop
 		line := p.Line
 		cast.Walk(outer, func(n cast.Node) bool {
 			if n == cast.Node(outer) {
@@ -166,12 +161,12 @@ type edit struct {
 // planEdits computes the splice for the active plans, re-checking every
 // textual assumption against the bytes. Plans whose assumptions fail are
 // demoted and returned in bad.
-func planEdits(lines []string, actives []*LoopPlan, loops []cast.Stmt, byOffset map[int]int) ([]edit, []*LoopPlan) {
+func planEdits(lines []string, actives []*LoopPlan, loops []cast.FuncLoop, byOffset map[int]int) ([]edit, []*LoopPlan) {
 	drops := map[int]bool{}
 	inserts := map[int][]string{}
 	var bad []*LoopPlan
 	for _, p := range actives {
-		loop := loops[byOffset[p.Offset]]
+		loop := loops[byOffset[p.Offset]].Loop
 		pos := loop.Pos()
 		if pos.Line < 1 || pos.Line > len(lines) {
 			p.demote("loop line out of range")
@@ -271,26 +266,6 @@ func applyEdits(lines []string, edits []edit) string {
 		b.WriteString(line)
 	}
 	return b.String()
-}
-
-// fileLoops enumerates every loop of the file in deterministic
-// declaration-then-walk order — the indexing both sides of the re-parse
-// comparison share.
-func fileLoops(file *cast.File) []cast.Stmt {
-	var loops []cast.Stmt
-	for _, fn := range file.Funcs {
-		if fn.Body == nil {
-			continue
-		}
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			switch n.(type) {
-			case *cast.For, *cast.While:
-				loops = append(loops, n.(cast.Stmt))
-			}
-			return true
-		})
-	}
-	return loops
 }
 
 // attachedPragma returns the loop's attached pragma text, if any.

@@ -51,11 +51,14 @@ func validateDynamic(file *cast.File, fn *cast.FuncDecl, loop *cast.For, cp clau
 		return skipped("harness does not parse: %v", perr)
 	}
 	idx := loopIndex(file, loop)
-	hloops := forLoops(hfile)
+	hloops := hfile.Loops()
 	if idx < 0 || idx >= len(hloops) {
 		return skipped("loop not found in harness")
 	}
-	hloop := hloops[idx]
+	hloop, ok := hloops[idx].Loop.(*cast.For)
+	if !ok {
+		return skipped("loop not found in harness")
+	}
 
 	// Shared variable inventories, all in sorted slices so every message
 	// and comparison below is deterministic.
@@ -331,29 +334,12 @@ func synthesizeHarness(file *cast.File, fn *cast.FuncDecl) (string, error) {
 	return src + "\n" + b.String(), nil
 }
 
-// forLoops lists every for-loop of the file in walk order (the order
-// loopIndex uses on the original, so index i matches across a print or
-// splice round trip — neither adds nor removes loops before the target).
-func forLoops(file *cast.File) []*cast.For {
-	var loops []*cast.For
-	for _, fn := range file.Funcs {
-		if fn.Body == nil {
-			continue
-		}
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			if f, ok := n.(*cast.For); ok {
-				loops = append(loops, f)
-			}
-			return true
-		})
-	}
-	return loops
-}
-
-// loopIndex finds the loop's position in the file's for-loop walk order.
+// loopIndex finds the loop's position in File.Loops order. The index
+// matches across a print or splice round trip: neither adds nor removes
+// loops before the target.
 func loopIndex(file *cast.File, loop *cast.For) int {
-	for i, f := range forLoops(file) {
-		if f == loop {
+	for i, l := range file.Loops() {
+		if l.Loop == cast.Stmt(loop) {
 			return i
 		}
 	}

@@ -304,6 +304,22 @@ int main() {
 	}
 }
 
+// TestPrototypeSourceServes posts a file whose function prototype has no
+// body to both analysis routes. The loop walk used to dereference the
+// missing body, and the server dropped the connection.
+func TestPrototypeSourceServes(t *testing.T) {
+	ts := server(t)
+	const src = "int g(int x);\nint main() { int i, s = 0; for (i = 0; i < 4; i++) s += g(i); return s; }\nint g(int x) { return x * 2; }"
+	var one analyzeResponse
+	if code := postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: src}, &one); code != http.StatusOK || len(one.Reports) != 1 {
+		t.Errorf("/v1/analyze: status %d with %d reports, want 200 with 1", code, len(one.Reports))
+	}
+	var batch batchResponse
+	if code := postJSON(t, ts.URL+"/v1/analyze/batch", requestEnvelope{Files: map[string]string{"proto.c": src}}, &batch); code != http.StatusOK || len(batch.Results["proto.c"]) != 1 {
+		t.Errorf("/v1/analyze/batch: status %d with %d reports, want 200 with 1", code, len(batch.Results["proto.c"]))
+	}
+}
+
 // postRaw posts body verbatim as application/json and returns the status.
 func postRaw(t *testing.T, url, body string) int {
 	t.Helper()

@@ -57,7 +57,7 @@ func (a *AutoPar) Analyze(s tools.Sample) tools.Verdict {
 	}
 	v.Processable = true
 
-	if depend.HasLoopExit(loop.Body) {
+	if len(depend.LoopExits(loop.Body)) > 0 {
 		v.Parallel = false
 		v.Reason = "autoPar: early exit (break/goto/return) breaks the canonical loop form"
 		return v

@@ -36,12 +36,10 @@ import (
 // DiscoPoP is the dynamic analyzer.
 type DiscoPoP struct {
 	// MaxSteps is the interpreter step budget per sample (profiling cost
-	// stand-in). Default 2,000,000.
+	// stand-in). Default 2,000,000. The traced loop always runs in full:
+	// profiling cost is part of the tool's real profile, so long-running
+	// programs genuinely blow the step budget.
 	MaxSteps int
-	// IterCap caps traced iterations (sampling). 0 (the default) executes
-	// the loop fully — profiling cost is part of the tool's real profile,
-	// so long-running programs genuinely blow the step budget.
-	IterCap int
 }
 
 // New returns the tool with default budgets.
@@ -110,12 +108,7 @@ func (d *DiscoPoP) Analyze(s tools.Sample) tools.Verdict {
 	}
 
 	// Identify defined functions to separate instrumented from opaque calls.
-	defined := map[string]bool{}
-	for _, fn := range s.File.Funcs {
-		if fn.Body != nil {
-			defined[fn.Name] = true
-		}
-	}
+	defined := s.File.DefinedFuncs()
 
 	info := depend.ExtractLoop(loop)
 	// Syntactic single-statement reduction candidates (DiscoPoP's pattern
@@ -137,7 +130,6 @@ func (d *DiscoPoP) Analyze(s tools.Sample) tools.Verdict {
 
 	in := cinterp.New(s.File)
 	in.MaxSteps = d.MaxSteps
-	in.IterCap = d.IterCap
 	in.TraceLoop = loop
 	in.WatchNames = watch
 
@@ -207,7 +199,7 @@ func (d *DiscoPoP) Analyze(s tools.Sample) tools.Verdict {
 	}
 	v.Processable = true
 
-	if depend.HasLoopExit(loop.Body) {
+	if len(depend.LoopExits(loop.Body)) > 0 {
 		v.Reason = "DiscoPoP: early exit violates the canonical worksharing form"
 		return v
 	}
@@ -215,7 +207,7 @@ func (d *DiscoPoP) Analyze(s tools.Sample) tools.Verdict {
 	// Opaque external calls make the trace incomplete: conservative.
 	if has, names := depend.HasCalls(loop.Body); has {
 		for _, n := range names {
-			if !defined[n] {
+			if defined[n] == nil {
 				v.Reason = fmt.Sprintf("DiscoPoP: call to non-instrumented function %q", n)
 				return v
 			}

@@ -48,7 +48,7 @@ func (p *Pluto) Analyze(s tools.Sample) tools.Verdict {
 	}
 	v.Processable = true
 
-	if depend.HasLoopExit(loop.Body) {
+	if len(depend.LoopExits(loop.Body)) > 0 {
 		v.Reason = "PLUTO: early exit breaks static control flow"
 		return v
 	}
@@ -75,13 +75,7 @@ func (p *Pluto) Analyze(s tools.Sample) tools.Verdict {
 		}
 		return true
 	})
-	declared := map[string]bool{}
-	cast.Walk(loop.Body, func(n cast.Node) bool {
-		if d, ok := n.(*cast.VarDecl); ok {
-			declared[d.Name] = true
-		}
-		return true
-	})
+	declared := cast.DeclaredNames(loop.Body)
 	for _, acc := range depend.CollectAccesses(loop.Body) {
 		if !acc.Write || len(acc.Subscripts) > 0 || acc.ViaPointer {
 			continue

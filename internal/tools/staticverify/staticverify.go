@@ -58,13 +58,7 @@ func fillClauses(out *tools.Verdict, f *cast.For) {
 			out.Reductions[r.Var] = r.Op
 		}
 	}
-	declared := map[string]bool{}
-	cast.Walk(f.Body, func(n cast.Node) bool {
-		if d, ok := n.(*cast.VarDecl); ok {
-			declared[d.Name] = true
-		}
-		return true
-	})
+	declared := cast.DeclaredNames(f.Body)
 	for name, cl := range scalars {
 		if cl == depend.ScalarPrivate && name != info.IndVar && !declared[name] {
 			out.Private = append(out.Private, name)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"graph2par/internal/auggraph"
-	"graph2par/internal/cast"
 	"graph2par/internal/dataset"
 	"graph2par/internal/hgt"
 	"graph2par/internal/metrics"
@@ -124,7 +123,7 @@ func PrepareGraphsN(workers int, samples []*dataset.Sample, opts auggraph.Option
 		s := samples[i]
 		o := opts
 		if s.File != nil {
-			o.Funcs = fileFuncs(s.File)
+			o.Funcs = s.File.DefinedFuncs()
 		}
 		built[i] = b.BuildDetached(s.Loop, o)
 	})
@@ -156,16 +155,6 @@ func PrepareGraphsN(workers int, samples []*dataset.Sample, opts auggraph.Option
 		gs.Samples[i] = s
 	}
 	return gs
-}
-
-func fileFuncs(f *cast.File) map[string]*cast.FuncDecl {
-	out := map[string]*cast.FuncDecl{}
-	for _, fn := range f.Funcs {
-		if fn.Body != nil {
-			out[fn.Name] = fn
-		}
-	}
-	return out
 }
 
 // TrainHGT trains a Graph2Par model on the set, optionally with

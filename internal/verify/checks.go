@@ -40,37 +40,22 @@ func checkStructure(p *Pass) {
 	}
 }
 
-// scanEscapes flags control flow that leaves the loop body: a break
-// targeting this loop, and any goto or return. Unlike depend.HasLoopExit
-// it keeps positions, so the finding points at the offending statement.
+// scanEscapes flags each statement that leaves the loop body early
+// (depend.LoopExits): a break targeting this loop, and any goto or return.
+// Each finding points at the offending statement.
 func scanEscapes(p *Pass) {
-	var walk func(n cast.Node, depth int)
-	walk = func(n cast.Node, depth int) {
-		if n == nil {
-			return
-		}
-		switch x := n.(type) {
-		case *cast.For, *cast.While, *cast.DoWhile, *cast.Switch:
-			depth++
+	for _, exit := range depend.LoopExits(p.Body) {
+		switch x := exit.(type) {
 		case *cast.Break:
-			if depth == 0 {
-				p.report("structure", Unsafe,
-					"break escapes the loop: the iteration count must be computable on entry", x.P)
-			}
-			return
+			p.report("structure", Unsafe,
+				"break escapes the loop: the iteration count must be computable on entry", x.P)
 		case *cast.Goto:
 			p.report("structure", Unsafe,
 				fmt.Sprintf("goto %s leaves structured control flow", x.Name), x.P)
-			return
 		case *cast.Return:
 			p.report("structure", Unsafe, "return escapes the loop body", x.P)
-			return
-		}
-		for _, ch := range n.Children() {
-			walk(ch, depth)
 		}
 	}
-	walk(p.Body, 0)
 }
 
 // scanContinue flags a continue that targets the parallel loop while the
@@ -94,7 +79,7 @@ func scanContinue(p *Pass) {
 			}
 			return
 		}
-		for _, ch := range n.Children() {
+		for _, ch := range cast.AppendChildren(n, nil) {
 			walk(ch, depth)
 		}
 	}

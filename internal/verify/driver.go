@@ -62,7 +62,8 @@ type Pass struct {
 	// Fn is the function whose body contains Loop (nil when File is nil
 	// or the loop was not found — e.g. a snippet pasted out of context).
 	Fn *cast.FuncDecl
-	// Funcs maps defined (body-carrying) function names of File.
+	// Funcs maps defined (body-carrying) function names of File (nil
+	// when File is nil).
 	Funcs map[string]*cast.FuncDecl
 
 	// IsFor reports a for-loop; Info is its normalized form (zero for
@@ -96,7 +97,7 @@ func newPass(req Request) *Pass {
 	p := &Pass{
 		Loop:   req.Loop,
 		File:   req.File,
-		Funcs:  map[string]*cast.FuncDecl{},
+		Fn:     req.Fn,
 		purity: map[string]purityResult{},
 	}
 	switch l := req.Loop.(type) {
@@ -110,15 +111,10 @@ func newPass(req Request) *Pass {
 		p.Body = l.Body
 	}
 	if req.File != nil {
-		for _, fn := range req.File.Funcs {
-			if fn.Body != nil {
-				p.Funcs[fn.Name] = fn
-			}
+		p.Funcs = req.File.DefinedFuncs()
+		if p.Fn == nil {
+			p.Fn = req.File.EnclosingFunc(req.Loop)
 		}
-		p.Fn = enclosingFunc(req.File, req.Loop)
-	}
-	if req.Fn != nil {
-		p.Fn = req.Fn
 	}
 	if req.Pragma != "" {
 		p.Pragma = pragma.Parse(req.Pragma)
@@ -127,7 +123,7 @@ func newPass(req Request) *Pass {
 		iv := p.Info.IndVar
 		p.Scalars = depend.ClassifyScalars(p.Body, iv, true)
 		p.Reds = depend.FindReductions(p.Body, map[string]bool{iv: true})
-		p.Declared = declaredIn(p.Body)
+		p.Declared = cast.DeclaredNames(p.Body)
 		p.Accesses = depend.CollectAccesses(p.Body)
 	}
 	return p
@@ -155,39 +151,6 @@ func (p *Pass) verdict() Verdict {
 		}
 	}
 	return v
-}
-
-// enclosingFunc finds the defined function whose body contains the loop
-// node (by identity).
-func enclosingFunc(file *cast.File, loop cast.Stmt) *cast.FuncDecl {
-	for _, fn := range file.Funcs {
-		if fn.Body == nil {
-			continue
-		}
-		found := false
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			if n == cast.Node(loop) {
-				found = true
-			}
-			return !found
-		})
-		if found {
-			return fn
-		}
-	}
-	return nil
-}
-
-// declaredIn collects every variable declared inside the body.
-func declaredIn(body cast.Stmt) map[string]bool {
-	out := map[string]bool{}
-	cast.Walk(body, func(n cast.Node) bool {
-		if d, ok := n.(*cast.VarDecl); ok {
-			out[d.Name] = true
-		}
-		return true
-	})
-	return out
 }
 
 // hasWord reports whether the word list contains w.

@@ -30,30 +30,20 @@ func VerifyFile(file *cast.File) []LoopVerdict {
 // VerifyFileWith is VerifyFile restricted to a chosen check subset.
 func VerifyFileWith(file *cast.File, checks []*Check) []LoopVerdict {
 	var out []LoopVerdict
-	for _, fn := range file.Funcs {
-		if fn.Body == nil {
-			continue
+	for _, l := range file.Loops() {
+		var prag string
+		switch x := l.Loop.(type) {
+		case *cast.For:
+			prag = x.Pragma
+		case *cast.While:
+			prag = x.Pragma
 		}
-		fname := fn.Name
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			var loop cast.Stmt
-			var prag string
-			switch l := n.(type) {
-			case *cast.For:
-				loop, prag = l, l.Pragma
-			case *cast.While:
-				loop, prag = l, l.Pragma
-			default:
-				return true
-			}
-			out = append(out, LoopVerdict{
-				Line:    loop.Pos().Line,
-				Func:    fname,
-				Kind:    loop.Kind(),
-				Pragma:  strings.TrimSpace(prag),
-				Verdict: VerifyWith(Request{Loop: loop, File: file, Pragma: prag}, checks),
-			})
-			return true
+		out = append(out, LoopVerdict{
+			Line:    l.Loop.Pos().Line,
+			Func:    l.Fn.Name,
+			Kind:    l.Loop.Kind(),
+			Pragma:  strings.TrimSpace(prag),
+			Verdict: VerifyWith(Request{Loop: l.Loop, File: file, Fn: l.Fn, Pragma: prag}, checks),
 		})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Line < out[j].Line })

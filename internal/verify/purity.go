@@ -65,11 +65,7 @@ func checkPurity(p *Pass) {
 		return
 	}
 	seen := map[string]bool{}
-	var walk func(n cast.Node)
-	walk = func(n cast.Node) {
-		if n == nil {
-			return
-		}
+	cast.Walk(p.Body, func(n cast.Node) bool {
 		if c, ok := n.(*cast.Call); ok {
 			if id, isIdent := c.Fun.(*cast.Ident); isIdent {
 				if !seen[id.Name] {
@@ -82,11 +78,8 @@ func checkPurity(p *Pass) {
 				p.report("purity", Unknown, "indirect call: the callee cannot be identified", c.P)
 			}
 		}
-		for _, ch := range n.Children() {
-			walk(ch)
-		}
-	}
-	walk(p.Body)
+		return true
+	})
 }
 
 // callPurity classifies one callee by name, memoized per pass. A cycle in
@@ -131,7 +124,7 @@ func analyzeFuncPurity(p *Pass, fn *cast.FuncDecl) purityResult {
 			ptrParams[prm.Name] = true
 		}
 	}
-	locals := declaredIn(fn.Body)
+	locals := cast.DeclaredNames(fn.Body)
 	worst := purityResult{level: Safe}
 	consider := func(lv Level, reason string) {
 		if lv > worst.level {

@@ -123,10 +123,11 @@ type Request struct {
 	File   *cast.File
 	Pragma string
 
-	// Fn, when non-nil, overrides the enclosing-function lookup. The
-	// rewriter verifies statement-level clones that are not reachable from
-	// File, so the identity walk that normally finds the surrounding
-	// function cannot see them; the caller names it explicitly instead.
+	// Fn, when non-nil, names the enclosing function and skips the
+	// File.EnclosingFunc lookup. VerifyFile already knows it; the rewriter
+	// verifies statement-level clones that are not reachable from File,
+	// so the identity walk that normally finds the surrounding function
+	// cannot see them.
 	Fn *cast.FuncDecl
 }
 
