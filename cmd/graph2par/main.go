@@ -116,12 +116,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "graph2par:", err)
 			fail()
 		}
+		// Splice the plans the analysis above already made, rather than
+		// analyzing every file again through Engine.RewriteSource.
 		for _, path := range flag.Args() {
-			src, ok := sources[path]
+			reports, ok := byFile[path]
 			if !ok {
 				continue
 			}
-			res, err := engine.RewriteSource(src)
+			res, err := graph2par.SpliceRewrites(sources[path], reports)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "graph2par:", err)
 				exit = 1

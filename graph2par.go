@@ -624,6 +624,14 @@ func (e *Engine) RewriteSourceContext(ctx context.Context, src string) (*Rewrite
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	return SpliceRewrites(src, reports)
+}
+
+// SpliceRewrites splices the rewrite plans of one translation unit's
+// reports, as an Analyze* call returned them, into its source: the last
+// step of RewriteSource, for callers that already hold the reports.
+// Splice-time demotions update the plans in place.
+func SpliceRewrites(src string, reports []LoopReport) (*RewriteResult, error) {
 	var plans []*rewrite.LoopPlan
 	for i := range reports {
 		if reports[i].Rewrite != nil {

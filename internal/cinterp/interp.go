@@ -18,28 +18,16 @@ type ErrUnsupported struct{ What string }
 
 func (e *ErrUnsupported) Error() string { return "cinterp: unsupported: " + e.What }
 
-// Addr identifies a memory cell for tracing: an object ID plus a flattened
-// element index. Scalars use Elem == ScalarElem; array elements use their
-// flattened non-negative index; a whole-array reference (from Watched) uses
-// Elem == WholeArrayElem.
+// Addr identifies a memory cell for profiling: an object ID plus a
+// flattened element index. Scalars use Elem == ScalarElem; array elements
+// use their flattened non-negative index.
 type Addr struct {
 	Obj  int
 	Elem int64
 }
 
-// Sentinel Elem values for Addr.
-const (
-	ScalarElem     int64 = -1
-	WholeArrayElem int64 = -2
-)
-
-// IsArrayElem reports whether the address names an array element.
-func (a Addr) IsArrayElem() bool { return a.Elem >= 0 }
-
-// TraceFunc receives every access made while the instrumented loop is
-// executing. iter is the 0-based iteration index of that loop; write
-// distinguishes stores from loads.
-type TraceFunc func(addr Addr, write bool, iter int)
+// ScalarElem is the Elem of a scalar's Addr.
+const ScalarElem int64 = -1
 
 // cell is a scalar storage location.
 type cell struct {
@@ -86,19 +74,23 @@ type Interp struct {
 	// depth counts the live C call frames, main included.
 	depth int
 
-	// Instrumentation: accesses inside TraceLoop (at any call depth) are
-	// reported to Trace with the loop's current iteration.
+	// TraceLoop is the instrumented loop. A forward run folds every access
+	// made inside it, at any call depth, into Profile, tagged with the
+	// loop's current iteration (0-based, restarting at each entry).
 	TraceLoop *cast.For
-	Trace     TraceFunc
 	inLoop    bool
 	iter      int
+	prof      *profiler
 
-	// WatchNames asks the interpreter to resolve these variable names to
-	// trace addresses when the instrumented loop is first entered; results
-	// land in Watched. Names that do not resolve to a scalar or array are
-	// simply absent.
-	WatchNames []string
-	Watched    map[string]Addr
+	// Watch names variables of the instrumented loop's scope, each with
+	// the Role the profile gives its object. They resolve again at every
+	// entry of the loop, so a block-scoped name (for (int j = ...) inside
+	// an outer loop) covers the fresh object each entry declares; names
+	// that resolve to neither a scalar nor an array are ignored.
+	Watch []Watch
+	// Profile is the instrumented loop's access profile, set when Run
+	// returns from a forward run (ReverseOrder off).
+	Profile Profile
 
 	// CaptureNames asks for a snapshot of these variables' values when the
 	// instrumented loop exits (on any path); the last exit's values land in
@@ -115,7 +107,7 @@ type Interp struct {
 	// This is the rewrite validator's parallel-order probe — any
 	// cross-iteration dependence the serial order hid changes the observable
 	// state. ReverseIndVar names the induction variable; it must resolve to
-	// a scalar at the loop's scope.
+	// a scalar at the loop's scope. A reversed run records no Profile.
 	ReverseOrder  bool
 	ReverseIndVar string
 
@@ -154,6 +146,10 @@ type execState struct {
 
 // Run executes main() and returns its exit value.
 func (in *Interp) Run() (Value, error) {
+	if in.TraceLoop != nil && !in.ReverseOrder {
+		in.prof = profilerPool.Get().(*profiler)
+		defer in.finishProfile()
+	}
 	defer in.densifyCaptures()
 	in.cellsLeft = maxRunCells
 	in.globals = newScope(nil)
@@ -321,9 +317,20 @@ func (in *Interp) release(mark int) {
 }
 
 func (in *Interp) traceAccess(addr Addr, write bool) {
-	if in.inLoop && in.Trace != nil {
-		in.Trace(addr, write, in.iter)
+	if in.inLoop && in.prof != nil {
+		in.prof.access(addr, write, in.iter)
 	}
+}
+
+// finishProfile hands the run's profile to the caller and the profiler
+// back to its pool, unless the run grew it past maxPooledAddrs.
+func (in *Interp) finishProfile() {
+	in.Profile = in.prof.summary()
+	if len(in.prof.m) <= maxPooledAddrs {
+		in.prof.reset()
+		profilerPool.Put(in.prof)
+	}
+	in.prof = nil
 }
 
 // maxCallDepth bounds the C call stack. Each interpreted call costs about
@@ -497,17 +504,8 @@ func (in *Interp) runFor(inner *scope, f *cast.For, st *execState) error {
 		}
 	}
 	isTraced := f == in.TraceLoop
-	if isTraced && in.WatchNames != nil && in.Watched == nil {
-		in.Watched = map[string]Addr{}
-		for _, name := range in.WatchNames {
-			if b, ok := inner.lookup(name); ok {
-				if b.cell != nil {
-					in.Watched[name] = Addr{Obj: b.cell.id, Elem: ScalarElem}
-				} else if b.arr != nil {
-					in.Watched[name] = Addr{Obj: b.arr.id, Elem: WholeArrayElem}
-				}
-			}
-		}
+	if isTraced && in.prof != nil {
+		in.prof.resolve(inner, in.Watch)
 	}
 	if isTraced && len(in.CaptureNames) > 0 {
 		// Snapshot on every exit path — normal termination, break, return,

@@ -306,7 +306,7 @@ func TestTracingIterationsAndAddresses(t *testing.T) {
 	src := `int main() {
         int a[8];
         int s = 0;
-        for (int i = 0; i < 8; i++) a[i] = i;
+        for (int i = 0; i < 12; i++) a[i % 8] = i;
         for (int i = 0; i < 8; i++) s += a[i];
         return s;
     }`
@@ -316,50 +316,93 @@ func TestTracingIterationsAndAddresses(t *testing.T) {
 	}
 	in := New(f)
 	in.TraceLoop = findLoop(t, f, 1) // the summing loop
-
-	type rec struct {
-		addr  Addr
-		write bool
-		iter  int
-	}
-	var trace []rec
-	in.Trace = func(a Addr, w bool, it int) { trace = append(trace, rec{a, w, it}) }
+	in.Watch = []Watch{{Name: "i", Role: Exempt}, {Name: "s", Role: Reduction}}
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(trace) == 0 {
-		t.Fatal("no trace records")
+	p := in.Profile
+	if p.MaxIter != 7 {
+		t.Errorf("MaxIter = %d, want 7", p.MaxIter)
 	}
-	// Iterations must range over 0..7; array reads at distinct elements.
-	maxIter := 0
-	elemByIter := map[int][]int64{}
-	for _, r := range trace {
-		if r.iter > maxIter {
-			maxIter = r.iter
+	if p.ArrayWritten {
+		t.Error("the summing loop only reads a, yet an array write was profiled")
+	}
+	// Only s is left: i is exempt, every a[k] is read in one iteration,
+	// and the fill loop (which writes a[0..3] twice) is not profiled.
+	if len(p.Cells) != 1 {
+		t.Fatalf("cells = %+v, want s alone", p.Cells)
+	}
+	c := p.Cells[0]
+	if c.Name != "s" || c.Addr.Elem != ScalarElem || !c.Reduction || !c.Shared || !c.OncePerIter || c.RepeatedWrite {
+		t.Errorf("s = %+v, want a shared reduction cell written once per iteration", c)
+	}
+
+	// Without the watch list the induction variable is profiled like any
+	// other scalar: written and read in every iteration.
+	in = New(f)
+	in.TraceLoop = findLoop(t, f, 1)
+	if _, err := in.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(in.Profile.Cells); got != 2 {
+		t.Errorf("unwatched cells = %+v, want i and s", in.Profile.Cells)
+	}
+	for _, c := range in.Profile.Cells {
+		if c.Name != "" || c.Reduction || !c.Shared {
+			t.Errorf("unwatched cell %+v, want a shared, unnamed cell", c)
 		}
-		if !r.write && r.addr.Elem >= 0 {
-			elemByIter[r.iter] = append(elemByIter[r.iter], r.addr.Elem)
+	}
+}
+
+// TestProfileReductionRules pins the two write-count rules on a reduction
+// cell that a nest's inner loop updates once per inner iteration: summed
+// over every entry of the loop, each iteration index wrote it 8 times
+// (not OncePerIter), yet no iteration ever wrote it twice in a row (no
+// RepeatedWrite). A body that bumps the cell twice breaks both.
+func TestProfileReductionRules(t *testing.T) {
+	for _, tc := range []struct {
+		body           string
+		once, repeated bool
+	}{
+		{"s += a[i][j];", false, false},
+		{"s += a[i][j]; s += 1;", false, true},
+	} {
+		src := `int main() {
+    int a[8][8];
+    int s = 0;
+    int i, j;
+    for (i = 0; i < 8; i++)
+        for (j = 0; j < 8; j++)
+            a[i][j] = i + j;
+    for (i = 0; i < 8; i++) {
+        for (j = 0; j < 8; j++) {
+            ` + tc.body + `
+        }
+    }
+    return s;
+}`
+		f, err := cparse.ParseFile(src)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if maxIter != 7 {
-		t.Errorf("max iter = %d, want 7", maxIter)
-	}
-	// writes to s must appear in every iteration
-	writes := map[int]int{}
-	for _, r := range trace {
-		if r.write {
-			writes[r.iter]++
+		in := New(f)
+		in.TraceLoop = findLoop(t, f, 3)
+		in.Watch = []Watch{{Name: "j", Role: Exempt}, {Name: "s", Role: Reduction}}
+		if _, err := in.Run(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for i := 0; i < 8; i++ {
-		if writes[i] == 0 {
-			t.Errorf("iteration %d recorded no writes", i)
+		var s *Cell
+		for k := range in.Profile.Cells {
+			if in.Profile.Cells[k].Name == "s" {
+				s = &in.Profile.Cells[k]
+			}
 		}
-	}
-	// first loop must NOT be traced
-	for _, r := range trace {
-		if r.iter > 7 {
-			t.Errorf("stray iteration %d", r.iter)
+		if s == nil {
+			t.Fatalf("%s: no cell for s in %+v", tc.body, in.Profile.Cells)
+		}
+		if s.OncePerIter != tc.once || s.RepeatedWrite != tc.repeated {
+			t.Errorf("%s: OncePerIter=%v RepeatedWrite=%v, want %v %v",
+				tc.body, s.OncePerIter, s.RepeatedWrite, tc.once, tc.repeated)
 		}
 	}
 }

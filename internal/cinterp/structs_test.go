@@ -59,37 +59,36 @@ int main() {
 }
 
 func TestStructFieldsHaveDistinctTraceAddresses(t *testing.T) {
+	// Iteration 0 writes p.a and every later iteration reads p.b, so the
+	// two fields conflict only if they share an address; q.a, written in
+	// every iteration, is the one shared cell.
 	src := `
 struct pair { int a; int b; };
 int main() {
-    struct pair arr[4];
-    int i;
-    for (i = 0; i < 4; i++) { arr[i].a = 0; arr[i].b = 0; }
+    struct pair p, q;
+    int i, x = 0;
     for (i = 0; i < 4; i++) {
-        arr[i].a = i;
-        arr[i].b = i + 1;
+        if (i == 0) p.a = 1;
+        else x = p.b;
+        q.a = i;
     }
-    return arr[3].a;
+    return x;
 }`
 	f, err := cparse.ParseFile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := New(f)
-	in.TraceLoop = findLoop(t, f, 1)
-	addrs := map[Addr]bool{}
-	in.Trace = func(a Addr, w bool, iter int) {
-		if w {
-			addrs[a] = true
-		}
-	}
+	in.TraceLoop = findLoop(t, f, 0)
+	in.Watch = []Watch{{Name: "i", Role: Exempt}, {Name: "x", Role: Exempt}}
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// 4 elements × 2 fields + iv increments ⇒ at least 9 distinct
-	// written addresses.
-	if len(addrs) < 9 {
-		t.Errorf("distinct written addrs = %d, want >= 9", len(addrs))
+	if in.Profile.MaxIter != 3 {
+		t.Errorf("MaxIter = %d, want 3", in.Profile.MaxIter)
+	}
+	if len(in.Profile.Cells) != 1 {
+		t.Errorf("cells = %+v, want q.a alone: p.a and p.b are distinct addresses", in.Profile.Cells)
 	}
 }
 

@@ -1,8 +1,9 @@
-// Package cinterp is a tree-walking interpreter for the C subset, with
-// memory-access tracing. It is the substrate for the DiscoPoP-style dynamic
-// analyzer: the tool runs a program's main() under a step budget and records
-// every scalar/array access made inside an instrumented loop, tagged with
-// the loop iteration that made it. Programs that cannot be executed —
+// Package cinterp is a tree-walking interpreter for the C subset, with a
+// loop-access profile. It is the substrate for the DiscoPoP-style dynamic
+// analyzer and the rewrite oracle: each runs a program's main() under a
+// step budget, and Run folds every scalar/array access made inside an
+// instrumented loop, tagged with the loop iteration that made it, into a
+// per-address Profile (profile.go). Programs that cannot be executed —
 // missing main, unknown functions, unsupported constructs, runaway loops —
 // fail with an error, which is exactly the coverage gap dynamic tools have
 // in the paper (only 3.7% of dataset loops are processable by DiscoPoP).

@@ -174,76 +174,36 @@ func TestGroundTruthAgainstInterpreterOracle(t *testing.T) {
 	}
 }
 
-// traceDeps runs the sample and reports whether an inter-iteration
-// dependence exists beyond the loop control and declared reduction/private
-// variables.
+// traceDeps runs the sample and reports whether its loop profile shows an
+// inter-iteration dependence beyond the loop control and the pragma's
+// reduction and private variables.
 func traceDeps(t *testing.T, s *Sample, loop *cast.For) (bool, bool) {
 	t.Helper()
 	in := cinterp.New(s.File)
 	in.MaxSteps = 3_000_000
 	in.TraceLoop = loop
 
-	// Resolve pragma-declared reduction/private vars plus the iv.
-	var watch []string
 	info := pragma.Parse(s.Pragma)
+	var exempt []string
 	for _, vars := range info.ReductionOps {
-		watch = append(watch, vars...)
+		exempt = append(exempt, vars...)
 	}
-	watch = append(watch, info.PrivateVars...)
-	iv := inductionVar(loop)
-	if iv != "" {
-		watch = append(watch, iv)
+	exempt = append(exempt, info.PrivateVars...)
+	if iv := depend.ExtractLoop(loop).IndVar; iv != "" {
+		exempt = append(exempt, iv)
 	}
-	in.WatchNames = watch
-
-	type rec struct {
-		iter  int
-		write bool
-	}
-	trace := map[cinterp.Addr][]rec{}
-	in.Trace = func(a cinterp.Addr, w bool, iter int) {
-		trace[a] = append(trace[a], rec{iter, w})
+	for _, name := range exempt {
+		in.Watch = append(in.Watch, cinterp.Watch{Name: name, Role: cinterp.Exempt})
 	}
 	if _, err := in.Run(); err != nil {
 		return false, false
 	}
-	excluded := map[cinterp.Addr]bool{}
-	for _, a := range in.Watched {
-		excluded[a] = true
-	}
-	for addr, recs := range trace {
-		if excluded[addr] {
-			continue
-		}
-		iters := map[int]bool{}
-		anyWrite := false
-		for _, r := range recs {
-			iters[r.iter] = true
-			if r.write {
-				anyWrite = true
-			}
-		}
-		if anyWrite && len(iters) > 1 {
+	for _, c := range in.Profile.Cells {
+		if c.Shared {
 			return true, true
 		}
 	}
 	return false, true
-}
-
-func inductionVar(f *cast.For) string {
-	switch init := f.Init.(type) {
-	case *cast.ExprStmt:
-		if asn, ok := init.X.(*cast.Assign); ok {
-			if id, ok := asn.LHS.(*cast.Ident); ok {
-				return id.Name
-			}
-		}
-	case *cast.DeclStmt:
-		if len(init.Decls) > 0 {
-			return init.Decls[0].Name
-		}
-	}
-	return ""
 }
 
 func TestSplitDeterministicAndDisjoint(t *testing.T) {

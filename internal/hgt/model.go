@@ -155,78 +155,21 @@ func clampID(id, n int) int {
 	return id
 }
 
-// Forward computes class logits (1×Classes) for one encoded aug-AST. A
-// graph with at least one typed edge runs as a one-element ForwardBatch
-// (a single implementation keeps the Predict/PredictBatch bit-identity
-// invariant structural rather than maintained by hand); a graph with no
-// typed edges has no attention structure and takes the per-node fallback
-// below.
+// Forward computes class logits (1×Classes) for one encoded aug-AST. It
+// runs as a one-element ForwardBatch: a single implementation keeps the
+// Predict/PredictBatch bit-identity invariant structural rather than
+// maintained by hand.
 //
 // With train=false it is safe to call concurrently (each call must use its
 // own Graph); with train=true it consumes the shared model RNG for dropout
 // and must not overlap other Forward calls (training workers use LossRNG
 // with a per-example RNG instead).
 func (m *Model) Forward(g *nn.Graph, enc *auggraph.Encoded, train bool) *nn.Node {
-	return m.forward(g, enc, train, m.rng)
-}
-
-// forward is Forward with an explicit dropout RNG (only consumed when
-// train is true).
-func (m *Model) forward(g *nn.Graph, enc *auggraph.Encoded, train bool, rng *tensor.RNG) *nn.Node {
-	n := len(enc.KindIDs)
-	if n == 0 {
-		panic("hgt: empty graph")
-	}
-	cfg := m.Cfg
-	if typedEdges(enc, cfg.EdgeTypes) > 0 {
-		return m.forwardBatch(g, []*auggraph.Encoded{enc}, train, rng)
-	}
-
-	kinds := make([]int, n)
-	attrs := make([]int, n)
-	types := make([]int, n)
-	orders := make([]int, n)
-	for i := 0; i < n; i++ {
-		kinds[i] = clampID(enc.KindIDs[i], cfg.NumKinds)
-		attrs[i] = clampID(enc.AttrIDs[i], cfg.NumAttrs)
-		types[i] = clampID(enc.TypeIDs[i], cfg.NumTypes)
-		orders[i] = clampID(enc.Orders[i], auggraph.MaxOrder+1)
-	}
-
-	// Input features: sum of the four embeddings, projected.
-	h := g.Add(
-		g.Add(m.kindEmb.Lookup(g, kinds), m.attrEmb.Lookup(g, attrs)),
-		g.Add(m.typeEmb.Lookup(g, types), m.orderEmb.Lookup(g, orders)),
-	)
-	h = m.inProj.Apply(g, h)
-	h = g.Dropout(h, cfg.Dropout, rng, train)
-
-	byKind := make([][]int, cfg.NumKinds)
-	for i, k := range kinds {
-		byKind[k] = append(byKind[k], i)
-	}
-
-	for _, lp := range m.layers {
-		// No structure: each layer degenerates to a per-node transform of
-		// the Value projection.
-		projV := m.perKind(g, h, byKind, lp.value, n)
-		upd := m.perKind(g, g.GELU(projV), byKind, lp.aLinear, n)
-		h = lp.norm.Apply(g, g.Add(upd, h))
-	}
-
-	// Readout: mean over nodes concatenated with the loop-root node.
-	mean := g.MeanRows(h)
-	root := g.GatherRows(h, []int{enc.Root})
-	pooled := g.ConcatCols(mean, root)
-	hidden := g.GELU(m.headA.Apply(g, pooled))
-	hidden = g.Dropout(hidden, cfg.Dropout, rng, train)
-	return m.headB.Apply(g, hidden)
+	return m.forwardBatch(g, []*auggraph.Encoded{enc}, train, m.rng)
 }
 
 // typedEdges counts the edges of enc whose type is a valid model edge
-// type; edges outside [0, EdgeTypes) are skipped by the forward pass, so
-// only this count decides between the attention path and the structural
-// fallback.
+// type; edges outside [0, EdgeTypes) are skipped by the forward pass.
 //
 //graph2lint:noalloc
 func typedEdges(enc *auggraph.Encoded, edgeTypes int) int {
@@ -249,10 +192,10 @@ func typedEdges(enc *auggraph.Encoded, edgeTypes int) int {
 // bit-identical to Forward on encs[b] alone — batching changes dispatch
 // cost, never the answer.
 //
-// Every graph must be non-empty and have at least one typed edge; graphs
-// without edges take a structurally different fallback inside Forward and
-// cannot share a batch (PredictBatch routes them there automatically).
-// Like Forward, train=false calls are safe for concurrent use.
+// Every graph must be non-empty and have at least one typed edge, as
+// every loop's aug-AST does (its AST edges); ForwardBatch panics on any
+// other graph. Like Forward, train=false calls are safe for concurrent
+// use.
 func (m *Model) ForwardBatch(g *nn.Graph, encs []*auggraph.Encoded, train bool) *nn.Node {
 	return m.forwardBatch(g, encs, train, m.rng)
 }
@@ -274,7 +217,7 @@ func (m *Model) forwardBatch(g *nn.Graph, encs []*auggraph.Encoded, train bool, 
 			panic("hgt: empty graph")
 		}
 		if typedEdges(enc, cfg.EdgeTypes) == 0 {
-			panic("hgt: ForwardBatch requires every graph to have a typed edge (use Forward)")
+			panic("hgt: ForwardBatch requires every graph to have a typed edge")
 		}
 		offs[b] = total
 		total += len(enc.KindIDs)
@@ -434,34 +377,22 @@ func (m *Model) Predict(enc *auggraph.Encoded) (int, []float64) {
 // bit-identical to calling Predict per graph — the batched forward only
 // amortizes per-graph op dispatch — so callers may freely mix batched and
 // single-graph inference (the invariant the engine's analysis cache and
-// its size-bucketed batching rely on). Graphs without typed edges take
-// Forward's structural fallback and are scored individually. Safe for
-// concurrent use, like Predict.
+// its size-bucketed batching rely on). Safe for concurrent use, like
+// Predict.
 func (m *Model) PredictBatch(encs []*auggraph.Encoded) ([]int, [][]float64) {
 	preds := make([]int, len(encs))
 	probs := make([][]float64, len(encs))
-	var batch []*auggraph.Encoded
-	var batchIdx []int
-	for i, enc := range encs {
-		if typedEdges(enc, m.Cfg.EdgeTypes) == 0 {
-			preds[i], probs[i] = m.Predict(enc)
-			continue
-		}
-		batch = append(batch, enc)
-		batchIdx = append(batchIdx, i)
-	}
-	if len(batch) == 0 {
+	if len(encs) == 0 {
 		return preds, probs
 	}
 	g, done := m.inferenceTape()
 	defer done()
-	logits := m.ForwardBatch(g, batch, false)
+	logits := m.ForwardBatch(g, encs, false)
 	p := logits.Val.Clone()
 	tensor.SoftmaxRows(p)
-	arg := tensor.ArgMaxRows(p)
-	for k, i := range batchIdx {
-		preds[i] = arg[k]
-		probs[i] = append([]float64(nil), p.Row(k)...)
+	for i, c := range tensor.ArgMaxRows(p) {
+		preds[i] = c
+		probs[i] = append([]float64(nil), p.Row(i)...)
 	}
 	return preds, probs
 }
@@ -478,7 +409,7 @@ func (m *Model) Loss(g *nn.Graph, enc *auggraph.Encoded, label int, train bool) 
 // separate RNGs are safe — the hook data-parallel training uses to give
 // every in-flight example its own deterministic dropout stream.
 func (m *Model) LossRNG(g *nn.Graph, enc *auggraph.Encoded, label int, rng *tensor.RNG) *nn.Node {
-	logits := m.forward(g, enc, true, rng)
+	logits := m.forwardBatch(g, []*auggraph.Encoded{enc}, true, rng)
 	loss, _ := g.SoftmaxCrossEntropy(logits, []int{label})
 	return loss
 }

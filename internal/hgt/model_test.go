@@ -150,23 +150,6 @@ func TestUnknownVocabIDsHandled(t *testing.T) {
 	}
 }
 
-func TestSingleNodeGraph(t *testing.T) {
-	// A degenerate one-node graph (no edges) must still classify.
-	v := auggraph.NewVocab()
-	enc := buildEncoded(t, "for (i = 0; i < n; i++) s += a[i];", v)
-	one := &auggraph.Encoded{
-		KindIDs: enc.KindIDs[:1], AttrIDs: enc.AttrIDs[:1],
-		TypeIDs: enc.TypeIDs[:1], Orders: enc.Orders[:1],
-		Edges: nil, Root: 0,
-	}
-	m := New(smallConfig(v))
-	g := nn.NewGraph()
-	logits := m.Forward(g, one, false)
-	if logits.Val.Cols != 2 {
-		t.Fatal("bad logits")
-	}
-}
-
 // batchSources is a mix of loop shapes (do-all, recurrence, reduction,
 // while, privatizable temp, call) exercising different node counts, kinds
 // and edge types in one batch.
@@ -232,45 +215,10 @@ func TestPredictBatchBitIdenticalToPredict(t *testing.T) {
 	}
 }
 
-// TestPredictBatchHandlesEdgelessGraphs pins the fallback routing: a
-// one-node graph (no edges) inside a batch must take Forward's structural
-// fallback and still match its individual prediction exactly.
-func TestPredictBatchHandlesEdgelessGraphs(t *testing.T) {
-	v := auggraph.NewVocab()
-	full := buildEncoded(t, "for (i = 0; i < n; i++) s += a[i];", v)
-	lone := &auggraph.Encoded{
-		KindIDs: full.KindIDs[:1], AttrIDs: full.AttrIDs[:1],
-		TypeIDs: full.TypeIDs[:1], Orders: full.Orders[:1],
-		Edges: nil, Root: 0,
-	}
-	m := New(smallConfig(v))
-
-	wantLonePred, wantLoneProbs := m.Predict(lone)
-	wantFullPred, wantFullProbs := m.Predict(full)
-
-	preds, probs := m.PredictBatch([]*auggraph.Encoded{full, lone, full})
-	for i, want := range []struct {
-		pred  int
-		probs []float64
-	}{{wantFullPred, wantFullProbs}, {wantLonePred, wantLoneProbs}, {wantFullPred, wantFullProbs}} {
-		if preds[i] != want.pred {
-			t.Errorf("graph %d: pred %d != %d", i, preds[i], want.pred)
-		}
-		for j := range want.probs {
-			if probs[i][j] != want.probs[j] {
-				t.Errorf("graph %d: prob[%d] %v != %v", i, j, probs[i][j], want.probs[j])
-			}
-		}
-	}
-
-	// An all-edgeless batch must work too (everything routes to Forward).
-	preds, _ = m.PredictBatch([]*auggraph.Encoded{lone, lone})
-	if preds[0] != wantLonePred || preds[1] != wantLonePred {
-		t.Error("all-edgeless batch misrouted")
-	}
-
-	// Empty batch: no work, no panic.
-	preds, probs = m.PredictBatch(nil)
+// TestPredictBatchEmpty pins the empty batch: no work, no panic.
+func TestPredictBatchEmpty(t *testing.T) {
+	m := New(smallConfig(auggraph.NewVocab()))
+	preds, probs := m.PredictBatch(nil)
 	if len(preds) != 0 || len(probs) != 0 {
 		t.Error("empty batch should return empty results")
 	}

@@ -3,7 +3,6 @@ package rewrite
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"graph2par/internal/cast"
@@ -30,14 +29,15 @@ func failed(f string, a ...any) dynOutcome  { return dynOutcome{"failed", fmt.Sp
 const validateSteps = 500_000
 
 // validateDynamic executes the loop twice — source order, then reversed
-// iteration order — and compares every shared observable. The serial run
-// carries the DiscoPoP-style tracer as a race oracle: an address written
-// and touched across distinct iterations is a cross-iteration dependence
-// unless it is the induction variable, a privatized scalar, a reduction
-// cell updated once per iteration, or an atomic-protected base. The
-// reversed run then confirms order-independence of the surviving state,
-// with a relative tolerance on reduction and atomic values (parallel
-// execution legitimately reassociates floating-point sums).
+// iteration order — and compares every shared observable. The serial
+// run's loop profile, the one DiscoPoP reads, feeds a race oracle: an
+// address written and touched across distinct iterations is a
+// cross-iteration dependence unless it is the induction variable, a
+// privatized scalar, a reduction cell updated once per iteration, or an
+// atomic-protected base. The reversed run then confirms
+// order-independence of the surviving state, with a relative tolerance on
+// reduction and atomic values (parallel execution legitimately
+// reassociates floating-point sums).
 func validateDynamic(file *cast.File, fn *cast.FuncDecl, loop *cast.For, cp clausePlan) dynOutcome {
 	if file == nil || fn == nil {
 		return skipped("loop is not inside a defined function")
@@ -69,61 +69,45 @@ func validateDynamic(file *cast.File, fn *cast.FuncDecl, loop *cast.For, cp clau
 	for _, r := range cp.reds {
 		redSet[r.Var] = true
 	}
-	watch := []string{cp.iv}
+	role := func(name string) cinterp.Role {
+		switch {
+		case privSet[name], firstSet[name], atomicSet[name]:
+			return cinterp.Exempt
+		case redSet[name]:
+			return cinterp.Reduction
+		}
+		return cinterp.Named
+	}
+	watch := []cinterp.Watch{{Name: cp.iv, Role: cinterp.Exempt}}
 	for _, n := range cp.scalarNames {
 		if n != cp.iv && !cp.declared[n] {
-			watch = append(watch, n)
+			watch = append(watch, cinterp.Watch{Name: n, Role: role(n)})
 		}
 	}
-	watch = append(watch, cp.arrayBases...)
+	for _, n := range cp.arrayBases {
+		watch = append(watch, cinterp.Watch{Name: n, Role: role(n)})
+	}
 	var compare []string
-	for _, n := range watch {
-		if privSet[n] || firstSet[n] {
+	for _, w := range watch {
+		if privSet[w.Name] || firstSet[w.Name] {
 			continue // loop-local by clause; final value unspecified
 		}
-		compare = append(compare, n)
+		compare = append(compare, w.Name)
 	}
 
-	// Serial probe with the race oracle attached.
+	// Serial probe, profiled for the race oracle.
 	ser := cinterp.New(hfile)
 	ser.MaxSteps = validateSteps
 	ser.TraceLoop = hloop
-	ser.WatchNames = watch
+	ser.Watch = watch
 	ser.CaptureNames = compare
-	agg := map[cinterp.Addr]*aggInfo{}
-	maxIter := -1
-	ser.Trace = func(addr cinterp.Addr, write bool, iter int) {
-		a := agg[addr]
-		if a == nil {
-			a = &aggInfo{lastIter: iter, curIter: -1}
-			agg[addr] = a
-		}
-		if iter != a.lastIter {
-			a.multiIter = true
-			a.lastIter = iter
-		}
-		if write {
-			a.anyWrite = true
-			if iter != a.curIter {
-				a.curIter = iter
-				a.curWrites = 0
-			}
-			a.curWrites++
-			if a.curWrites > a.maxWrites {
-				a.maxWrites = a.curWrites
-			}
-		}
-		if iter > maxIter {
-			maxIter = iter
-		}
-	}
 	if _, err := ser.Run(); err != nil {
 		return skipped("serial probe: %v", err)
 	}
-	if maxIter < 1 {
+	if ser.Profile.MaxIter < 1 {
 		return skipped("loop executed fewer than 2 iterations")
 	}
-	if out := raceOracle(ser, agg, watch, cp, privSet, firstSet, atomicSet, redSet); out.status != "checked" {
+	if out := raceOracle(ser.Profile); out.status != "checked" {
 		return out
 	}
 
@@ -152,66 +136,26 @@ func validateDynamic(file *cast.File, fn *cast.FuncDecl, loop *cast.For, cp clau
 	return checked()
 }
 
-// aggInfo aggregates the trace stream per address, DiscoPoP-style.
-type aggInfo struct {
-	lastIter  int
-	multiIter bool
-	anyWrite  bool
-	curIter   int
-	curWrites int
-	maxWrites int
-}
-
-// raceOracle folds the aggregated trace into a verdict: any address
-// written and touched across iterations is a dependence unless exempt.
-func raceOracle(ser *cinterp.Interp, agg map[cinterp.Addr]*aggInfo, watch []string,
-	cp clausePlan, privSet, firstSet, atomicSet, redSet map[string]bool) dynOutcome {
-	exemptObj := map[int]bool{}
-	redAddr := map[cinterp.Addr]string{}
-	objName := map[int]string{}
-	for _, name := range watch {
-		addr, ok := ser.Watched[name]
-		if !ok {
-			continue
-		}
-		objName[addr.Obj] = name
-		switch {
-		case name == cp.iv, privSet[name], firstSet[name], atomicSet[name]:
-			exemptObj[addr.Obj] = true
-		case redSet[name]:
-			redAddr[addr] = name
-		}
-	}
-	addrs := make([]cinterp.Addr, 0, len(agg))
-	for addr := range agg {
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool {
-		if addrs[i].Obj != addrs[j].Obj {
-			return addrs[i].Obj < addrs[j].Obj
-		}
-		return addrs[i].Elem < addrs[j].Elem
-	})
-	for _, addr := range addrs {
-		a := agg[addr]
-		if exemptObj[addr.Obj] {
-			continue
-		}
-		if name, isRed := redAddr[addr]; isRed {
+// raceOracle reads the serial probe's profile: a cell written and touched
+// across iterations is a dependence unless its object is exempt (the
+// induction variable, a privatized or atomic-protected name) or it is a
+// reduction cell, whose once-per-iteration update discipline is checked
+// instead.
+func raceOracle(p cinterp.Profile) dynOutcome {
+	for _, c := range p.Cells {
+		if c.Reduction {
 			// A reduction cell is touched every iteration by design; what
 			// the oracle pins is the once-per-iteration update discipline.
-			if a.maxWrites > 1 {
-				return failed("reduction variable %q is updated more than once per iteration", name)
+			if c.RepeatedWrite {
+				return failed("reduction variable %q is updated more than once per iteration", c.Name)
 			}
 			continue
 		}
-		if a.multiIter && a.anyWrite {
-			name := objName[addr.Obj]
-			if name == "" {
-				return failed("cross-iteration dependence on an unnamed location")
-			}
-			return failed("cross-iteration dependence on %q observed at runtime", name)
+		// Every other listed cell is Shared.
+		if c.Name == "" {
+			return failed("cross-iteration dependence on an unnamed location")
 		}
+		return failed("cross-iteration dependence on %q observed at runtime", c.Name)
 	}
 	return checked()
 }

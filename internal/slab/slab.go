@@ -1,6 +1,6 @@
 // Package slab provides the one chunked bump allocator the repository's
-// pooled hot paths share: AST nodes in the parser, trace aggregates in
-// DiscoPoP, autodiff tape nodes and matrix headers in nn. Allocating from
+// pooled hot paths share: AST nodes in the parser, the interpreter's
+// per-address loop profile, autodiff tape nodes and matrix headers in nn. Allocating from
 // chunks turns one heap object per value into one per chunk; keeping a
 // single audited implementation keeps the (easy-to-fumble) chunk-advance
 // and reset bookkeeping in exactly one place.
