@@ -43,6 +43,7 @@ type array struct {
 	chunks  []*chunk
 	// left is the run's remaining cell budget, shared by all its arrays.
 	left *int64
+	prof *arrayProfile // set once the traced loop touches or watches the array
 }
 
 func (a *array) flatten(idx []int64) (int64, error) {

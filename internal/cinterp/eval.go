@@ -13,15 +13,8 @@ type lvalue struct {
 	elem int64
 }
 
-func (in *Interp) addrOf(lv lvalue) Addr {
-	if lv.cell != nil {
-		return Addr{Obj: lv.cell.id, Elem: ScalarElem}
-	}
-	return Addr{Obj: lv.arr.id, Elem: lv.elem}
-}
-
 func (in *Interp) load(lv lvalue) Value {
-	in.traceAccess(in.addrOf(lv), false)
+	in.traceAccess(lv, false)
 	if lv.cell != nil {
 		return lv.cell.val
 	}
@@ -29,7 +22,7 @@ func (in *Interp) load(lv lvalue) Value {
 }
 
 func (in *Interp) store(lv lvalue, v Value) error {
-	in.traceAccess(in.addrOf(lv), true)
+	in.traceAccess(lv, true)
 	if lv.cell != nil {
 		lv.cell.val = v
 		return nil

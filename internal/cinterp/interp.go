@@ -31,8 +31,9 @@ const ScalarElem int64 = -1
 
 // cell is a scalar storage location.
 type cell struct {
-	id  int
-	val Value
+	id   int
+	val  Value
+	prof *scalarProfile // set once the traced loop touches or watches the cell
 }
 
 // binding is what a name resolves to.
@@ -251,7 +252,7 @@ func (in *Interp) declare(sc *scope, d *cast.VarDecl) error {
 	}
 	c := in.newCell(v)
 	sc.vars[d.Name] = binding{cell: c}
-	in.traceAccess(Addr{Obj: c.id, Elem: ScalarElem}, true)
+	in.traceAccess(lvalue{cell: c}, true)
 	return nil
 }
 
@@ -316,20 +317,18 @@ func (in *Interp) release(mark int) {
 	in.declared = in.declared[:mark]
 }
 
-func (in *Interp) traceAccess(addr Addr, write bool) {
+func (in *Interp) traceAccess(lv lvalue, write bool) {
 	if in.inLoop && in.prof != nil {
-		in.prof.access(addr, write, in.iter)
+		in.prof.access(lv, write, in.iter)
 	}
 }
 
 // finishProfile hands the run's profile to the caller and the profiler
-// back to its pool, unless the run grew it past maxPooledAddrs.
+// back to its pool.
 func (in *Interp) finishProfile() {
 	in.Profile = in.prof.summary()
-	if len(in.prof.m) <= maxPooledAddrs {
-		in.prof.reset()
-		profilerPool.Put(in.prof)
-	}
+	in.prof.reset()
+	profilerPool.Put(in.prof)
 	in.prof = nil
 }
 

@@ -64,12 +64,42 @@ type Cell struct {
 	RepeatedWrite bool
 }
 
-// addrProfile is one address's profile while the run lasts.
-type addrProfile struct {
+// The profile lives on the objects it profiles, so that an access finds
+// its entry through the object it already holds instead of hashing its
+// address. A scalar cell points at its own scalarProfile; an array points
+// at an arrayProfile holding one elemChunk for each chunk of cells the
+// loop touched. Both also carry the marks the current loop entry's watch
+// list put on the object. Every entry comes from the run's profiler, whose
+// slabs are pooled across runs, so a run allocates nothing per address in
+// steady state.
+
+// elemProfile is one address's profile while the run lasts.
+type elemProfile struct {
 	firstIter int
+	touched   bool
 	multiIter bool
 	written   bool
-	red       *redWrites // Reduction cells only
+}
+
+// elemChunk profiles the cells of one array chunk.
+type elemChunk [chunkCells]elemProfile
+
+// scalarProfile is a scalar cell's profile and marks.
+type scalarProfile struct {
+	elemProfile
+	obj  int
+	red  *redWrites // set at first touch when the cell is marked Reduction
+	name string     // the last watched name that resolved to the cell
+	// exempt and reduction are the current loop entry's marks.
+	exempt, reduction bool
+}
+
+// arrayProfile is an array's profile and marks.
+type arrayProfile struct {
+	obj    int
+	chunks []*elemChunk // by array chunk; nil until the loop touches the array
+	name   string
+	exempt bool
 }
 
 // redWrites holds a reduction cell's write counts for both rules.
@@ -102,103 +132,148 @@ func (r *redWrites) oncePerIter() bool {
 	return true
 }
 
-// profiler folds a run's accesses into per-address profiles. Its map and
-// the slab its entries come from are pooled across runs, so a run
-// allocates nothing per address in steady state.
+// profiler folds a run's accesses into the profiles on its objects and
+// lists the objects the loop touched, for summary.
 type profiler struct {
-	m       map[Addr]*addrProfile
-	addrs   slab.Slab[addrProfile]
-	maxIter int
-	arrayW  bool
-	// exempt and reds are the objects the current entry's resolution
-	// exempts and the scalar cells it marks Reduction; names maps every
-	// object any entry resolved to its name.
-	exempt []int
-	reds   []int
-	names  map[int]string
+	scalarSlab slab.Slab[scalarProfile]
+	arraySlab  slab.Slab[arrayProfile]
+	chunkSlab  slab.Slab[elemChunk]
+	// scalars and arrays are the touched objects, in first-touch order.
+	scalars []*scalarProfile
+	arrays  []*arrayProfile
+	// markedScalars and markedArrays carry the current entry's marks.
+	markedScalars []*scalarProfile
+	markedArrays  []*arrayProfile
+	maxIter       int
+	arrayW        bool
 }
 
-// maxPooledAddrs bounds the profilers the pool keeps. Clearing or ranging
-// a map costs its peak size, so a profiler that once held a large array
-// would tax every small run that drew it after.
-const maxPooledAddrs = 1 << 12
+var profilerPool = sync.Pool{New: func() any { return &profiler{maxIter: -1} }}
 
-var profilerPool = sync.Pool{New: func() any {
-	return &profiler{m: map[Addr]*addrProfile{}, names: map[int]string{}, maxIter: -1}
-}}
+func (p *profiler) ofCell(c *cell) *scalarProfile {
+	if c.prof == nil {
+		c.prof = p.scalarSlab.Get()
+		c.prof.obj = c.id
+	}
+	return c.prof
+}
 
-// resolve looks the watched names up at the instrumented loop's scope,
-// on each entry. The exemptions and reduction cells it finds replace the
-// previous entry's; the names add to them.
+func (p *profiler) ofArray(a *array) *arrayProfile {
+	if a.prof == nil {
+		a.prof = p.arraySlab.Get()
+		a.prof.obj = a.id
+	}
+	return a.prof
+}
+
+// resolve marks the objects the watched names resolve to at the
+// instrumented loop's scope, on each entry. The exemptions and reduction
+// marks it sets replace the previous entry's; the names add to them.
 func (p *profiler) resolve(sc *scope, watch []Watch) {
-	p.exempt, p.reds = p.exempt[:0], p.reds[:0]
+	for _, sp := range p.markedScalars {
+		sp.exempt, sp.reduction = false, false
+	}
+	for _, ap := range p.markedArrays {
+		ap.exempt = false
+	}
+	p.markedScalars, p.markedArrays = p.markedScalars[:0], p.markedArrays[:0]
 	for _, w := range watch {
 		b, ok := sc.lookup(w.Name)
 		if !ok {
 			continue
 		}
-		var obj int
 		switch {
 		case b.cell != nil:
-			obj = b.cell.id
-			if w.Role == Reduction {
-				p.reds = append(p.reds, obj)
-			}
+			sp := p.ofCell(b.cell)
+			sp.name = w.Name
+			sp.exempt = sp.exempt || w.Role == Exempt
+			sp.reduction = sp.reduction || w.Role == Reduction
+			p.markedScalars = append(p.markedScalars, sp)
 		case b.arr != nil:
-			obj = b.arr.id
-		default:
-			continue
+			ap := p.ofArray(b.arr)
+			ap.name = w.Name
+			ap.exempt = ap.exempt || w.Role == Exempt
+			p.markedArrays = append(p.markedArrays, ap)
 		}
-		if w.Role == Exempt {
-			p.exempt = append(p.exempt, obj)
-		}
-		p.names[obj] = w.Name
 	}
 }
 
-func (p *profiler) access(a Addr, write bool, iter int) {
+// access folds one access made inside the instrumented loop.
+func (p *profiler) access(lv lvalue, write bool, iter int) {
 	if iter > p.maxIter {
 		p.maxIter = iter
 	}
-	if slices.Contains(p.exempt, a.Obj) {
+	if lv.cell != nil {
+		sp := p.ofCell(lv.cell)
+		if sp.exempt {
+			return
+		}
+		if !sp.touched && sp.reduction {
+			sp.red = &redWrites{lastWrite: -1}
+		}
+		if p.touch(&sp.elemProfile, write, iter) {
+			p.scalars = append(p.scalars, sp)
+		}
+		if sp.red != nil {
+			sp.red.add(write, iter)
+		}
 		return
 	}
-	e := p.m[a]
-	if e == nil {
-		e = p.addrs.Get()
-		*e = addrProfile{firstIter: iter}
-		if a.Elem == ScalarElem && slices.Contains(p.reds, a.Obj) {
-			e.red = &redWrites{lastWrite: -1}
-		}
-		p.m[a] = e
+	ap := p.ofArray(lv.arr)
+	if ap.exempt {
+		return
+	}
+	if ap.chunks == nil {
+		ap.chunks = make([]*elemChunk, len(lv.arr.chunks))
+		p.arrays = append(p.arrays, ap)
+	}
+	k := lv.elem >> chunkShift
+	if ap.chunks[k] == nil {
+		ap.chunks[k] = p.chunkSlab.Get()
+	}
+	p.touch(&ap.chunks[k][lv.elem&chunkMask], write, iter)
+	p.arrayW = p.arrayW || write
+}
+
+// touch folds one access into e and reports whether it was e's first.
+func (p *profiler) touch(e *elemProfile, write bool, iter int) bool {
+	first := !e.touched
+	if first {
+		e.touched, e.firstIter = true, iter
 	} else if iter != e.firstIter {
 		e.multiIter = true
 	}
-	if write {
-		e.written = true
-		if a.Elem >= 0 {
-			p.arrayW = true
-		}
-	}
-	if e.red != nil {
-		e.red.add(write, iter)
-	}
+	e.written = e.written || write
+	return first
 }
 
-// summary turns the folded accesses into the caller's Profile.
+// summary walks the touched objects into the caller's Profile.
 func (p *profiler) summary() Profile {
 	out := Profile{MaxIter: p.maxIter, ArrayWritten: p.arrayW}
-	for a, e := range p.m {
-		shared := e.written && e.multiIter
-		if !shared && e.red == nil {
+	for _, sp := range p.scalars {
+		shared := sp.written && sp.multiIter
+		if !shared && sp.red == nil {
 			continue
 		}
-		c := Cell{Addr: a, Name: p.names[a.Obj], Reduction: e.red != nil, Shared: shared}
-		if e.red != nil {
-			c.OncePerIter = e.red.oncePerIter()
-			c.RepeatedWrite = e.red.repeated
+		c := Cell{Addr: Addr{Obj: sp.obj, Elem: ScalarElem}, Name: sp.name, Reduction: sp.red != nil, Shared: shared}
+		if sp.red != nil {
+			c.OncePerIter = sp.red.oncePerIter()
+			c.RepeatedWrite = sp.red.repeated
 		}
 		out.Cells = append(out.Cells, c)
+	}
+	for _, ap := range p.arrays {
+		for k, ch := range ap.chunks {
+			if ch == nil {
+				continue
+			}
+			for j := range ch {
+				if e := &ch[j]; e.written && e.multiIter {
+					elem := int64(k)<<chunkShift + int64(j)
+					out.Cells = append(out.Cells, Cell{Addr: Addr{Obj: ap.obj, Elem: elem}, Name: ap.name, Shared: true})
+				}
+			}
+		}
 	}
 	slices.SortFunc(out.Cells, func(x, y Cell) int {
 		if c := cmp.Compare(x.Addr.Obj, y.Addr.Obj); c != 0 {
@@ -210,9 +285,14 @@ func (p *profiler) summary() Profile {
 }
 
 func (p *profiler) reset() {
-	clear(p.m)
-	clear(p.names)
-	p.addrs.Reset()
+	p.scalarSlab.Reset()
+	p.arraySlab.Reset()
+	p.chunkSlab.Reset()
+	clear(p.scalars)
+	clear(p.arrays)
+	clear(p.markedScalars)
+	clear(p.markedArrays)
+	p.scalars, p.arrays = p.scalars[:0], p.arrays[:0]
+	p.markedScalars, p.markedArrays = p.markedScalars[:0], p.markedArrays[:0]
 	p.maxIter, p.arrayW = -1, false
-	p.exempt, p.reds = p.exempt[:0], p.reds[:0]
 }
