@@ -42,7 +42,11 @@ type Stmt interface {
 // Ident is a reference to a variable or function name.
 type Ident struct {
 	Name string
-	P    clex.Pos
+	// ID numbers the identifier within its parse, densely from 0, so
+	// that a pass can keep per-identifier facts in a slice indexed by it.
+	// A file's IDs run below File.Idents.
+	ID int
+	P  clex.Pos
 }
 
 // IntLit is an integer literal.
@@ -416,7 +420,9 @@ type File struct {
 	Funcs   []*FuncDecl
 	Globals []*VarDecl
 	Structs []*StructDef
-	P       clex.Pos
+	// Idents counts the identifiers the parse numbered (see Ident.ID).
+	Idents int
+	P      clex.Pos
 }
 
 // StructByName returns the definition of `struct name`, or nil.

@@ -30,10 +30,10 @@ func (in *Interp) store(lv lvalue, v Value) error {
 	return lv.arr.set(lv.elem, v)
 }
 
-func (in *Interp) evalLValue(sc *scope, e cast.Expr) (lvalue, error) {
+func (in *Interp) evalLValue(fr *frame, e cast.Expr) (lvalue, error) {
 	switch x := e.(type) {
 	case *cast.Ident:
-		b, ok := sc.lookup(x.Name)
+		b, ok := in.lookup(fr, x)
 		if !ok {
 			return lvalue{}, &ErrUnsupported{What: "undeclared variable " + x.Name}
 		}
@@ -48,7 +48,7 @@ func (in *Interp) evalLValue(sc *scope, e cast.Expr) (lvalue, error) {
 		if !ok {
 			return lvalue{}, &ErrUnsupported{What: "complex array base"}
 		}
-		b, ok := sc.lookup(id.Name)
+		b, ok := in.lookup(fr, id)
 		if !ok {
 			return lvalue{}, &ErrUnsupported{What: "undeclared array " + id.Name}
 		}
@@ -62,7 +62,7 @@ func (in *Interp) evalLValue(sc *scope, e cast.Expr) (lvalue, error) {
 		}
 		idx = idx[:len(subs)]
 		for i, s := range subs {
-			v, err := in.eval(sc, s)
+			v, err := in.eval(fr, s)
 			if err != nil {
 				return lvalue{}, err
 			}
@@ -74,7 +74,7 @@ func (in *Interp) evalLValue(sc *scope, e cast.Expr) (lvalue, error) {
 		}
 		return lvalue{arr: b.arr, elem: flat}, nil
 	case *cast.Member:
-		return in.memberLValue(sc, x)
+		return in.memberLValue(fr, x)
 	default:
 		return lvalue{}, &ErrUnsupported{What: fmt.Sprintf("lvalue %T", e)}
 	}
@@ -112,7 +112,7 @@ func rootIndex(ix *cast.Index, buf []cast.Expr) (cast.Expr, []cast.Expr) {
 	return cur, buf
 }
 
-func (in *Interp) eval(sc *scope, e cast.Expr) (Value, error) {
+func (in *Interp) eval(fr *frame, e cast.Expr) (Value, error) {
 	if err := in.step(); err != nil {
 		return Value{}, err
 	}
@@ -129,13 +129,13 @@ func (in *Interp) eval(sc *scope, e cast.Expr) (Value, error) {
 	case *cast.StringLit:
 		return Value{}, &ErrUnsupported{What: "string value"}
 	case *cast.Ident:
-		lv, err := in.evalLValue(sc, x)
+		lv, err := in.evalLValue(fr, x)
 		if err != nil {
 			return Value{}, err
 		}
 		return in.load(lv), nil
 	case *cast.Index:
-		lv, err := in.evalLValue(sc, x)
+		lv, err := in.evalLValue(fr, x)
 		if err != nil {
 			return Value{}, err
 		}
@@ -143,59 +143,59 @@ func (in *Interp) eval(sc *scope, e cast.Expr) (Value, error) {
 	case *cast.Binary:
 		// short-circuit for && and ||
 		if x.Op == "&&" {
-			a, err := in.eval(sc, x.X)
+			a, err := in.eval(fr, x.X)
 			if err != nil {
 				return Value{}, err
 			}
 			if !a.Truthy() {
 				return IntVal(0), nil
 			}
-			b, err := in.eval(sc, x.Y)
+			b, err := in.eval(fr, x.Y)
 			if err != nil {
 				return Value{}, err
 			}
 			return boolVal(b.Truthy()), nil
 		}
 		if x.Op == "||" {
-			a, err := in.eval(sc, x.X)
+			a, err := in.eval(fr, x.X)
 			if err != nil {
 				return Value{}, err
 			}
 			if a.Truthy() {
 				return IntVal(1), nil
 			}
-			b, err := in.eval(sc, x.Y)
+			b, err := in.eval(fr, x.Y)
 			if err != nil {
 				return Value{}, err
 			}
 			return boolVal(b.Truthy()), nil
 		}
-		a, err := in.eval(sc, x.X)
+		a, err := in.eval(fr, x.X)
 		if err != nil {
 			return Value{}, err
 		}
-		b, err := in.eval(sc, x.Y)
+		b, err := in.eval(fr, x.Y)
 		if err != nil {
 			return Value{}, err
 		}
 		return binop(x.Op, a, b)
 	case *cast.Unary:
-		return in.evalUnary(sc, x)
+		return in.evalUnary(fr, x)
 	case *cast.Assign:
-		return in.evalAssign(sc, x)
+		return in.evalAssign(fr, x)
 	case *cast.Conditional:
-		c, err := in.eval(sc, x.Cond)
+		c, err := in.eval(fr, x.Cond)
 		if err != nil {
 			return Value{}, err
 		}
 		if c.Truthy() {
-			return in.eval(sc, x.Then)
+			return in.eval(fr, x.Then)
 		}
-		return in.eval(sc, x.Else)
+		return in.eval(fr, x.Else)
 	case *cast.Call:
-		return in.evalCall(sc, x)
+		return in.evalCall(fr, x)
 	case *cast.CastExpr:
-		v, err := in.eval(sc, x.X)
+		v, err := in.eval(fr, x.X)
 		if err != nil {
 			return Value{}, err
 		}
@@ -203,12 +203,12 @@ func (in *Interp) eval(sc *scope, e cast.Expr) (Value, error) {
 	case *cast.SizeofExpr:
 		return IntVal(8), nil
 	case *cast.Comma:
-		if _, err := in.eval(sc, x.X); err != nil {
+		if _, err := in.eval(fr, x.X); err != nil {
 			return Value{}, err
 		}
-		return in.eval(sc, x.Y)
+		return in.eval(fr, x.Y)
 	case *cast.Member:
-		lv, err := in.memberLValue(sc, x)
+		lv, err := in.memberLValue(fr, x)
 		if err != nil {
 			return Value{}, err
 		}
@@ -218,10 +218,10 @@ func (in *Interp) eval(sc *scope, e cast.Expr) (Value, error) {
 	}
 }
 
-func (in *Interp) evalUnary(sc *scope, x *cast.Unary) (Value, error) {
+func (in *Interp) evalUnary(fr *frame, x *cast.Unary) (Value, error) {
 	switch x.Op {
 	case "-":
-		v, err := in.eval(sc, x.X)
+		v, err := in.eval(fr, x.X)
 		if err != nil {
 			return Value{}, err
 		}
@@ -230,21 +230,21 @@ func (in *Interp) evalUnary(sc *scope, x *cast.Unary) (Value, error) {
 		}
 		return IntVal(-v.I), nil
 	case "+":
-		return in.eval(sc, x.X)
+		return in.eval(fr, x.X)
 	case "!":
-		v, err := in.eval(sc, x.X)
+		v, err := in.eval(fr, x.X)
 		if err != nil {
 			return Value{}, err
 		}
 		return boolVal(!v.Truthy()), nil
 	case "~":
-		v, err := in.eval(sc, x.X)
+		v, err := in.eval(fr, x.X)
 		if err != nil {
 			return Value{}, err
 		}
 		return IntVal(^v.AsInt()), nil
 	case "++", "--":
-		lv, err := in.evalLValue(sc, x.X)
+		lv, err := in.evalLValue(fr, x.X)
 		if err != nil {
 			return Value{}, err
 		}
@@ -271,14 +271,14 @@ func (in *Interp) evalUnary(sc *scope, x *cast.Unary) (Value, error) {
 	return Value{}, &ErrUnsupported{What: "unary " + x.Op}
 }
 
-func (in *Interp) evalAssign(sc *scope, x *cast.Assign) (Value, error) {
+func (in *Interp) evalAssign(fr *frame, x *cast.Assign) (Value, error) {
 	// Evaluate RHS before resolving/storing to match C semantics closely
 	// enough for dependence tracing (reads precede the store).
-	rhs, err := in.eval(sc, x.RHS)
+	rhs, err := in.eval(fr, x.RHS)
 	if err != nil {
 		return Value{}, err
 	}
-	lv, err := in.evalLValue(sc, x.LHS)
+	lv, err := in.evalLValue(fr, x.LHS)
 	if err != nil {
 		return Value{}, err
 	}
@@ -310,38 +310,41 @@ func (lv lvalue) peek() Value {
 	return lv.arr.get(lv.elem)
 }
 
-func (in *Interp) evalCall(sc *scope, x *cast.Call) (Value, error) {
-	name := ""
-	if id, ok := x.Fun.(*cast.Ident); ok {
-		name = id.Name
-	} else {
+func (in *Interp) evalCall(fr *frame, x *cast.Call) (Value, error) {
+	fid, ok := x.Fun.(*cast.Ident)
+	if !ok {
 		return Value{}, &ErrUnsupported{What: "indirect call"}
 	}
+	name := fid.Name
 
 	// user-defined function?
-	if fn, ok := in.funcs[name]; ok {
-		args := make([]binding, len(x.Args))
+	if r := in.res.refs[fid.ID]; r.fn >= 0 {
+		fi := &in.res.funcs[r.fn]
+		callee := newFrame(fi)
 		for i, a := range x.Args {
+			var b binding
 			// arrays decay to references
 			if id, ok := a.(*cast.Ident); ok {
-				if b, ok2 := sc.lookup(id.Name); ok2 && b.arr != nil {
-					args[i] = b
-					continue
+				b, _ = in.lookup(fr, id)
+			}
+			if b.arr == nil {
+				v, err := in.eval(fr, a)
+				if err != nil {
+					return Value{}, err
 				}
+				b = binding{cell: in.newCell(v)}
 			}
-			v, err := in.eval(sc, a)
-			if err != nil {
-				return Value{}, err
+			if i < len(fi.params) {
+				callee.slots[fi.params[i]] = b
 			}
-			args[i] = binding{cell: in.newCell(v)}
 		}
-		return in.callFunc(fn, args)
+		return in.callFunc(fi, &callee, len(x.Args))
 	}
 
 	// builtin / math
 	vals := make([]Value, len(x.Args))
 	for i, a := range x.Args {
-		v, err := in.eval(sc, a)
+		v, err := in.eval(fr, a)
 		if err != nil {
 			return Value{}, err
 		}

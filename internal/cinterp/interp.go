@@ -36,7 +36,8 @@ type cell struct {
 	prof *scalarProfile // set once the traced loop touches or watches the cell
 }
 
-// binding is what a name resolves to.
+// binding is what a frame slot holds: one of the four kinds of object,
+// or none while the slot is unbound.
 type binding struct {
 	cell *cell
 	arr  *array
@@ -44,30 +45,16 @@ type binding struct {
 	sarr *structArray
 }
 
-// scope is a lexical environment frame.
-type scope struct {
-	vars   map[string]binding
-	parent *scope
-}
-
-func newScope(parent *scope) *scope {
-	return &scope{vars: map[string]binding{}, parent: parent}
-}
-
-func (s *scope) lookup(name string) (binding, bool) {
-	for cur := s; cur != nil; cur = cur.parent {
-		if b, ok := cur.vars[name]; ok {
-			return b, true
-		}
-	}
-	return binding{}, false
+//graph2lint:noalloc
+func (b *binding) bound() bool {
+	return b.cell != nil || b.arr != nil || b.sobj != nil || b.sarr != nil
 }
 
 // Interp executes a parsed C file.
 type Interp struct {
-	file    *cast.File
-	funcs   map[string]*cast.FuncDecl
-	globals *scope
+	file *cast.File
+	// res is the current run's name resolution (resolve.go).
+	res *resolution
 
 	// MaxSteps bounds execution; defaults to 2,000,000 evaluation steps.
 	MaxSteps int
@@ -99,8 +86,9 @@ type Interp struct {
 	// loop's scope are simply absent.
 	CaptureNames []string
 	Captured     map[string]Capture
-	// snaps holds the last capture's array snapshots until Run returns.
-	snaps map[string]*array
+	// snaps holds the last exit's capture, by CaptureNames index, until
+	// Run returns.
+	snaps []snap
 
 	// ReverseOrder executes the instrumented loop's iterations back to
 	// front: the induction-variable sequence is simulated first (condition
@@ -116,18 +104,16 @@ type Interp struct {
 	// cellsLeft is the run's array cell budget (maxRunCells at start).
 	cellsLeft int64
 	// declared lists the arrays of the blocks being executed, innermost
-	// last; release hands a block's cells back when it ends. It lives here
-	// rather than in scope so that scopes stay on the Go stack.
+	// last; release hands a block's cells back when it ends.
 	declared []*array
+	// bound lists the frame slots the blocks being executed have bound,
+	// innermost last; leave unbinds a block's when it ends.
+	bound []*binding
 }
 
 // New prepares an interpreter for the file.
 func New(file *cast.File) *Interp {
-	return &Interp{
-		file:     file,
-		funcs:    file.DefinedFuncs(),
-		MaxSteps: 2_000_000,
-	}
+	return &Interp{file: file, MaxSteps: 2_000_000}
 }
 
 // control-flow signals
@@ -153,17 +139,69 @@ func (in *Interp) Run() (Value, error) {
 	}
 	defer in.densifyCaptures()
 	in.cellsLeft = maxRunCells
-	in.globals = newScope(nil)
-	for _, g := range in.file.Globals {
-		if err := in.declare(in.globals, g); err != nil {
+	res, err := resolve(in)
+	if err != nil {
+		return Value{}, err
+	}
+	in.res = res
+	var top frame // global initializers see only globals
+	for i, g := range in.file.Globals {
+		if err := in.declare(&top, g, &res.globals[res.globalSlots[i]]); err != nil {
 			return Value{}, err
 		}
 	}
-	mainFn := in.funcs["main"]
-	if mainFn == nil {
+	if res.main < 0 {
 		return Value{}, &ErrUnsupported{What: "no main function"}
 	}
-	return in.callFunc(mainFn, nil)
+	fi := &res.funcs[res.main]
+	fr := newFrame(fi)
+	return in.callFunc(fi, &fr, 0)
+}
+
+// lookup finds the binding an identifier use reads (see resolve.go).
+//
+//graph2lint:noalloc
+func (in *Interp) lookup(fr *frame, id *cast.Ident) (binding, bool) {
+	return in.lookupRef(fr, in.res.refs[id.ID])
+}
+
+// lookupRef finds the binding of a resolved name: the first bound slot
+// of the blocks around the use that declare it, innermost first, else
+// the global.
+//
+//graph2lint:noalloc
+func (in *Interp) lookupRef(fr *frame, r ref) (binding, bool) {
+	for s := r.slot; s >= 0; s = fr.outer[s] {
+		if b := &fr.slots[s]; b.bound() {
+			return *b, true
+		}
+	}
+	if r.global >= 0 {
+		if b := &in.res.globals[r.global]; b.bound() {
+			return *b, true
+		}
+	}
+	return binding{}, false
+}
+
+func newFrame(fi *funcInfo) frame {
+	return frame{slots: make([]binding, len(fi.outer)), outer: fi.outer}
+}
+
+// mark is where a block's declarations begin on the run's stacks.
+type mark struct{ arrays, slots int }
+
+func (in *Interp) enter() mark { return mark{len(in.declared), len(in.bound)} }
+
+// leave ends the block that began at m: its slots unbind and its arrays
+// go back to the run budget.
+func (in *Interp) leave(m mark) {
+	for _, b := range in.bound[m.slots:] {
+		*b = binding{}
+	}
+	clear(in.bound[m.slots:])
+	in.bound = in.bound[:m.slots]
+	in.release(m.arrays)
 }
 
 func (in *Interp) step() error {
@@ -201,9 +239,10 @@ func (in *Interp) newArray(dims []int64, isFloat bool) (*array, error) {
 	}, nil
 }
 
-func (in *Interp) declare(sc *scope, d *cast.VarDecl) error {
+// declare runs a declaration in fr and binds its object to slot.
+func (in *Interp) declare(fr *frame, d *cast.VarDecl, slot *binding) error {
 	if def, ok := in.structDef(d.Type); ok {
-		return in.declareStruct(sc, d, def)
+		return in.declareStruct(fr, d, def, slot)
 	}
 	if len(d.ArrayDims) > 0 {
 		dims := make([]int64, len(d.ArrayDims))
@@ -211,7 +250,7 @@ func (in *Interp) declare(sc *scope, d *cast.VarDecl) error {
 			if de == nil {
 				return &ErrUnsupported{What: "unsized array dimension"}
 			}
-			v, err := in.eval(sc, de)
+			v, err := in.eval(fr, de)
 			if err != nil {
 				return err
 			}
@@ -226,11 +265,11 @@ func (in *Interp) declare(sc *scope, d *cast.VarDecl) error {
 			if !ok {
 				return &ErrUnsupported{What: "non-list array initializer"}
 			}
-			if err := in.fillInit(sc, arr, lst); err != nil {
+			if err := in.fillInit(fr, arr, lst); err != nil {
 				return err
 			}
 		}
-		sc.vars[d.Name] = binding{arr: arr}
+		*slot = binding{arr: arr}
 		in.declared = append(in.declared, arr)
 		return nil
 	}
@@ -244,25 +283,25 @@ func (in *Interp) declare(sc *scope, d *cast.VarDecl) error {
 		v = IntVal(0)
 	}
 	if d.Init != nil {
-		iv, err := in.eval(sc, d.Init)
+		iv, err := in.eval(fr, d.Init)
 		if err != nil {
 			return err
 		}
 		v = coerce(iv, typeIsFloat(d.Type))
 	}
 	c := in.newCell(v)
-	sc.vars[d.Name] = binding{cell: c}
+	*slot = binding{cell: c}
 	in.traceAccess(lvalue{cell: c}, true)
 	return nil
 }
 
-func (in *Interp) fillInit(sc *scope, arr *array, lst *cast.InitList) error {
+func (in *Interp) fillInit(fr *frame, arr *array, lst *cast.InitList) error {
 	flat := flattenInit(lst)
 	if int64(len(flat)) > arr.size {
 		return fmt.Errorf("too many initializers")
 	}
 	for i, e := range flat {
-		v, err := in.eval(sc, e)
+		v, err := in.eval(fr, e)
 		if err != nil {
 			return err
 		}
@@ -338,25 +377,22 @@ func (in *Interp) finishProfile() {
 // process, long before the step budget runs out.
 const maxCallDepth = 1000
 
-// callFunc invokes fn with evaluated arguments. Arrays are passed by
-// reference (C decay), scalars by value.
-func (in *Interp) callFunc(fn *cast.FuncDecl, args []binding) (Value, error) {
+// callFunc runs fi's body in fr, whose parameter slots hold the call's
+// first nargs arguments: arrays by reference (C decay), scalars by value.
+func (in *Interp) callFunc(fi *funcInfo, fr *frame, nargs int) (Value, error) {
 	if err := in.step(); err != nil {
 		return Value{}, err
 	}
-	sc := newScope(in.globals)
-	for i, p := range fn.Params {
-		if i >= len(args) {
-			return Value{}, fmt.Errorf("call to %s: missing argument %d", fn.Name, i)
-		}
-		sc.vars[p.Name] = args[i]
+	fn := fi.decl
+	if nargs < len(fn.Params) {
+		return Value{}, fmt.Errorf("call to %s: missing argument %d", fn.Name, nargs)
 	}
 	if in.depth == maxCallDepth {
 		return Value{}, &ErrUnsupported{What: fmt.Sprintf("call depth over %d frames", maxCallDepth)}
 	}
 	st := &execState{}
 	in.depth++
-	err := in.execStmt(sc, fn.Body, st)
+	err := in.execStmt(fr, fn.Body, st)
 	in.depth--
 	if err != nil {
 		return Value{}, err
@@ -364,7 +400,7 @@ func (in *Interp) callFunc(fn *cast.FuncDecl, args []binding) (Value, error) {
 	return st.retVal, nil
 }
 
-func (in *Interp) execStmt(sc *scope, s cast.Stmt, st *execState) error {
+func (in *Interp) execStmt(fr *frame, s cast.Stmt, st *execState) error {
 	if err := in.step(); err != nil {
 		return err
 	}
@@ -372,53 +408,54 @@ func (in *Interp) execStmt(sc *scope, s cast.Stmt, st *execState) error {
 	case nil:
 		return nil
 	case *cast.Compound:
-		inner := newScope(sc)
-		mark := len(in.declared)
+		m := in.enter()
 		var err error
 		for _, it := range x.Items {
-			if err = in.execStmt(inner, it, st); err != nil || st.sig != sigNone {
+			if err = in.execStmt(fr, it, st); err != nil || st.sig != sigNone {
 				break
 			}
 		}
-		in.release(mark)
+		in.leave(m)
 		return err
 	case *cast.ExprStmt:
-		_, err := in.eval(sc, x.X)
+		_, err := in.eval(fr, x.X)
 		return err
 	case *cast.DeclStmt:
 		for _, d := range x.Decls {
-			if err := in.declare(sc, d); err != nil {
+			slot := &fr.slots[in.res.decls[d]]
+			if err := in.declare(fr, d, slot); err != nil {
 				return err
 			}
+			in.bound = append(in.bound, slot)
 		}
 		return nil
 	case *cast.If:
-		c, err := in.eval(sc, x.Cond)
+		c, err := in.eval(fr, x.Cond)
 		if err != nil {
 			return err
 		}
 		if c.Truthy() {
-			return in.execStmt(sc, x.Then, st)
+			return in.execStmt(fr, x.Then, st)
 		}
 		if x.Else != nil {
-			return in.execStmt(sc, x.Else, st)
+			return in.execStmt(fr, x.Else, st)
 		}
 		return nil
 	case *cast.For:
-		return in.execFor(sc, x, st)
+		return in.execFor(fr, x, st)
 	case *cast.While:
 		for {
 			if err := in.step(); err != nil {
 				return err
 			}
-			c, err := in.eval(sc, x.Cond)
+			c, err := in.eval(fr, x.Cond)
 			if err != nil {
 				return err
 			}
 			if !c.Truthy() {
 				return nil
 			}
-			if err := in.execStmt(sc, x.Body, st); err != nil {
+			if err := in.execStmt(fr, x.Body, st); err != nil {
 				return err
 			}
 			if st.sig == sigBreak {
@@ -437,7 +474,7 @@ func (in *Interp) execStmt(sc *scope, s cast.Stmt, st *execState) error {
 			if err := in.step(); err != nil {
 				return err
 			}
-			if err := in.execStmt(sc, x.Body, st); err != nil {
+			if err := in.execStmt(fr, x.Body, st); err != nil {
 				return err
 			}
 			if st.sig == sigBreak {
@@ -450,7 +487,7 @@ func (in *Interp) execStmt(sc *scope, s cast.Stmt, st *execState) error {
 			if st.sig == sigReturn {
 				return nil
 			}
-			c, err := in.eval(sc, x.Cond)
+			c, err := in.eval(fr, x.Cond)
 			if err != nil {
 				return err
 			}
@@ -460,7 +497,7 @@ func (in *Interp) execStmt(sc *scope, s cast.Stmt, st *execState) error {
 		}
 	case *cast.Return:
 		if x.X != nil {
-			v, err := in.eval(sc, x.X)
+			v, err := in.eval(fr, x.X)
 			if err != nil {
 				return err
 			}
@@ -477,7 +514,7 @@ func (in *Interp) execStmt(sc *scope, s cast.Stmt, st *execState) error {
 	case *cast.Empty, *cast.PragmaStmt, *cast.Label:
 		return nil
 	case *cast.Switch:
-		return in.execSwitch(sc, x, st)
+		return in.execSwitch(fr, x, st)
 	case *cast.Goto:
 		return &ErrUnsupported{What: "goto"}
 	default:
@@ -485,35 +522,34 @@ func (in *Interp) execStmt(sc *scope, s cast.Stmt, st *execState) error {
 	}
 }
 
-// execFor runs a for statement in a scope of its own, whose arrays go
-// back to the run budget after the loop and its exit capture. The release
-// is not deferred: a second defer in runFor would keep the compiler from
-// open-coding the capture's.
-func (in *Interp) execFor(sc *scope, f *cast.For, st *execState) error {
-	mark := len(in.declared)
-	err := in.runFor(newScope(sc), f, st)
-	in.release(mark)
+// execFor runs a for statement as a block of its own, which ends after
+// the loop and its exit capture. The leave is not deferred: a second
+// defer in runFor would keep the compiler from open-coding the capture's.
+func (in *Interp) execFor(fr *frame, f *cast.For, st *execState) error {
+	m := in.enter()
+	err := in.runFor(fr, f, st)
+	in.leave(m)
 	return err
 }
 
-func (in *Interp) runFor(inner *scope, f *cast.For, st *execState) error {
+func (in *Interp) runFor(fr *frame, f *cast.For, st *execState) error {
 	if f.Init != nil {
-		if err := in.execStmt(inner, f.Init, st); err != nil {
+		if err := in.execStmt(fr, f.Init, st); err != nil {
 			return err
 		}
 	}
 	isTraced := f == in.TraceLoop
 	if isTraced && in.prof != nil {
-		in.prof.resolve(inner, in.Watch)
+		in.markWatched(fr)
 	}
 	if isTraced && len(in.CaptureNames) > 0 {
 		// Snapshot on every exit path — normal termination, break, return,
 		// even an error — so the validator always sees the final state the
 		// loop left behind.
-		defer in.captureNow(inner)
+		defer in.captureNow(fr)
 	}
 	if isTraced && in.ReverseOrder {
-		return in.execForReversed(inner, f, st)
+		return in.execForReversed(fr, f, st)
 	}
 	iterCount := 0
 	for {
@@ -521,7 +557,7 @@ func (in *Interp) runFor(inner *scope, f *cast.For, st *execState) error {
 			return err
 		}
 		if f.Cond != nil {
-			c, err := in.eval(inner, f.Cond)
+			c, err := in.eval(fr, f.Cond)
 			if err != nil {
 				return err
 			}
@@ -533,7 +569,7 @@ func (in *Interp) runFor(inner *scope, f *cast.For, st *execState) error {
 			in.inLoop = true
 			in.iter = iterCount
 		}
-		err := in.execStmt(inner, f.Body, st)
+		err := in.execStmt(fr, f.Body, st)
 		if isTraced {
 			in.inLoop = false
 		}
@@ -555,7 +591,7 @@ func (in *Interp) runFor(inner *scope, f *cast.For, st *execState) error {
 				// the post expression belongs to the closing iteration
 				in.inLoop = true
 			}
-			_, err := in.eval(inner, f.Post)
+			_, err := in.eval(fr, f.Post)
 			if isTraced {
 				in.inLoop = false
 			}
@@ -568,8 +604,8 @@ func (in *Interp) runFor(inner *scope, f *cast.For, st *execState) error {
 	return nil
 }
 
-func (in *Interp) execSwitch(sc *scope, sw *cast.Switch, st *execState) error {
-	cond, err := in.eval(sc, sw.Cond)
+func (in *Interp) execSwitch(fr *frame, sw *cast.Switch, st *execState) error {
+	cond, err := in.eval(fr, sw.Cond)
 	if err != nil {
 		return err
 	}
@@ -577,8 +613,7 @@ func (in *Interp) execSwitch(sc *scope, sw *cast.Switch, st *execState) error {
 	if !ok {
 		return &ErrUnsupported{What: "non-compound switch body"}
 	}
-	inner := newScope(sc)
-	defer in.release(len(in.declared))
+	defer in.leave(in.enter())
 	matched := false
 	defaultIdx := -1
 	for idx, it := range body.Items {
@@ -590,7 +625,7 @@ func (in *Interp) execSwitch(sc *scope, sw *cast.Switch, st *execState) error {
 				defaultIdx = idx
 				continue
 			}
-			v, err := in.eval(inner, c.Val)
+			v, err := in.eval(fr, c.Val)
 			if err != nil {
 				return err
 			}
@@ -600,7 +635,7 @@ func (in *Interp) execSwitch(sc *scope, sw *cast.Switch, st *execState) error {
 			continue
 		}
 		if matched {
-			if err := in.execStmt(inner, it, st); err != nil {
+			if err := in.execStmt(fr, it, st); err != nil {
 				return err
 			}
 			if st.sig == sigBreak {
@@ -617,7 +652,7 @@ func (in *Interp) execSwitch(sc *scope, sw *cast.Switch, st *execState) error {
 			if _, isCase := it.(*cast.Case); isCase {
 				continue
 			}
-			if err := in.execStmt(inner, it, st); err != nil {
+			if err := in.execStmt(fr, it, st); err != nil {
 				return err
 			}
 			if st.sig == sigBreak {

@@ -166,10 +166,11 @@ func (p *profiler) ofArray(a *array) *arrayProfile {
 	return a.prof
 }
 
-// resolve marks the objects the watched names resolve to at the
+// markWatched marks the objects the watched names resolve to at the
 // instrumented loop's scope, on each entry. The exemptions and reduction
 // marks it sets replace the previous entry's; the names add to them.
-func (p *profiler) resolve(sc *scope, watch []Watch) {
+func (in *Interp) markWatched(fr *frame) {
+	p := in.prof
 	for _, sp := range p.markedScalars {
 		sp.exempt, sp.reduction = false, false
 	}
@@ -177,8 +178,8 @@ func (p *profiler) resolve(sc *scope, watch []Watch) {
 		ap.exempt = false
 	}
 	p.markedScalars, p.markedArrays = p.markedScalars[:0], p.markedArrays[:0]
-	for _, w := range watch {
-		b, ok := sc.lookup(w.Name)
+	for i, w := range in.Watch {
+		b, ok := in.lookupRef(fr, in.res.watch[i])
 		if !ok {
 			continue
 		}
@@ -211,7 +212,7 @@ func (p *profiler) access(lv lvalue, write bool, iter int) {
 		if !sp.touched && sp.reduction {
 			sp.red = &redWrites{lastWrite: -1}
 		}
-		if p.touch(&sp.elemProfile, write, iter) {
+		if touch(&sp.elemProfile, write, iter) {
 			p.scalars = append(p.scalars, sp)
 		}
 		if sp.red != nil {
@@ -231,12 +232,12 @@ func (p *profiler) access(lv lvalue, write bool, iter int) {
 	if ap.chunks[k] == nil {
 		ap.chunks[k] = p.chunkSlab.Get()
 	}
-	p.touch(&ap.chunks[k][lv.elem&chunkMask], write, iter)
+	touch(&ap.chunks[k][lv.elem&chunkMask], write, iter)
 	p.arrayW = p.arrayW || write
 }
 
 // touch folds one access into e and reports whether it was e's first.
-func (p *profiler) touch(e *elemProfile, write bool, iter int) bool {
+func touch(e *elemProfile, write bool, iter int) bool {
 	first := !e.touched
 	if first {
 		e.touched, e.firstIter = true, iter

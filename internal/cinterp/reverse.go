@@ -9,34 +9,47 @@ type Capture struct {
 	Array  []Value
 }
 
+// snap is one captured name's record at the latest exit: a scalar's
+// value, or an array snapshot that shares the live array's chunks.
+type snap struct {
+	val    Value
+	arr    *array
+	scalar bool
+}
+
 // captureNow records every CaptureNames binding visible at the
-// instrumented loop's scope, replacing the previous exit's record: a
-// scalar's value goes straight into Captured, an array is snapshotted
-// (chunk pointers only) until Run densifies it.
-func (in *Interp) captureNow(sc *scope) {
-	in.Captured = map[string]Capture{}
-	in.snaps = map[string]*array{}
-	for _, name := range in.CaptureNames {
-		b, ok := sc.lookup(name)
-		if !ok {
-			continue
+// instrumented loop's scope, replacing the previous exit's record.
+func (in *Interp) captureNow(fr *frame) {
+	if in.snaps == nil {
+		in.snaps = make([]snap, len(in.CaptureNames))
+	}
+	for i := range in.CaptureNames {
+		s := snap{}
+		if b, ok := in.lookupRef(fr, in.res.capture[i]); ok {
+			switch {
+			case b.cell != nil:
+				s = snap{val: b.cell.val, scalar: true}
+			case b.arr != nil:
+				s = snap{arr: b.arr.snapshot()}
+			}
 		}
-		switch {
-		case b.cell != nil:
-			v := b.cell.val
-			in.Captured[name] = Capture{Scalar: &v}
-		case b.arr != nil:
-			in.snaps[name] = b.arr.snapshot()
-		}
+		in.snaps[i] = s
 	}
 }
 
-// densifyCaptures turns the last exit's array snapshots into dense
-// Captured entries, once, when Run returns.
+// densifyCaptures turns the last exit's record into Captured, once, when
+// Run returns: a scalar's value, or a dense copy of an array.
 func (in *Interp) densifyCaptures() {
-	for _, name := range in.CaptureNames {
-		if s, ok := in.snaps[name]; ok {
-			in.Captured[name] = Capture{Array: s.dense()}
+	if in.snaps == nil {
+		return
+	}
+	in.Captured = map[string]Capture{}
+	for i, name := range in.CaptureNames {
+		switch s := in.snaps[i]; {
+		case s.scalar:
+			in.Captured[name] = Capture{Scalar: &s.val}
+		case s.arr != nil:
+			in.Captured[name] = Capture{Array: s.arr.dense()}
 		}
 	}
 	in.snaps = nil
@@ -49,11 +62,11 @@ func (in *Interp) densifyCaptures() {
 // replays the recorded values last to first, executing the body once per
 // value. Early exits (break, return) cannot be replayed out of order and
 // surface as ErrUnsupported; continue only ends the current iteration.
-func (in *Interp) execForReversed(inner *scope, f *cast.For, st *execState) error {
+func (in *Interp) execForReversed(fr *frame, f *cast.For, st *execState) error {
 	if f.Cond == nil || f.Post == nil {
 		return &ErrUnsupported{What: "reversed execution needs a loop condition and post expression"}
 	}
-	b, ok := inner.lookup(in.ReverseIndVar)
+	b, ok := in.lookupRef(fr, in.res.rev)
 	if !ok || b.cell == nil {
 		return &ErrUnsupported{What: "reversed execution needs a scalar induction variable"}
 	}
@@ -62,7 +75,7 @@ func (in *Interp) execForReversed(inner *scope, f *cast.For, st *execState) erro
 		if err := in.step(); err != nil {
 			return err
 		}
-		c, err := in.eval(inner, f.Cond)
+		c, err := in.eval(fr, f.Cond)
 		if err != nil {
 			return err
 		}
@@ -70,7 +83,7 @@ func (in *Interp) execForReversed(inner *scope, f *cast.For, st *execState) erro
 			break
 		}
 		ivs = append(ivs, b.cell.val)
-		if _, err := in.eval(inner, f.Post); err != nil {
+		if _, err := in.eval(fr, f.Post); err != nil {
 			return err
 		}
 	}
@@ -82,7 +95,7 @@ func (in *Interp) execForReversed(inner *scope, f *cast.For, st *execState) erro
 		b.cell.val = ivs[k]
 		in.inLoop = true
 		in.iter = k
-		err := in.execStmt(inner, f.Body, st)
+		err := in.execStmt(fr, f.Body, st)
 		in.inLoop = false
 		if err != nil {
 			return err

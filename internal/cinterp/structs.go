@@ -7,11 +7,23 @@ import (
 	"strings"
 )
 
-// structObj is one struct value: a set of named scalar field cells. Each
-// field has its own trace address, so the dynamic tool sees per-field
-// dependences exactly like scalar ones.
+// structObj is one struct value: a scalar cell per field of its
+// definition, in field order. Each field has its own trace address, so
+// the dynamic tool sees per-field dependences exactly like scalar ones.
 type structObj struct {
-	fields map[string]*cell
+	def    *cast.StructDef
+	fields []*cell
+}
+
+// field returns the cell of the field called name; the last one when the
+// definition repeats the name.
+func (o *structObj) field(name string) (*cell, bool) {
+	for i := len(o.fields) - 1; i >= 0; i-- {
+		if o.def.Fields[i].Name == name {
+			return o.fields[i], true
+		}
+	}
+	return nil, false
 }
 
 // structArray is a dense array of struct values.
@@ -46,7 +58,7 @@ func (in *Interp) structDef(typ string) (*cast.StructDef, bool) {
 
 // newStructObj allocates one struct value from its definition.
 func (in *Interp) newStructObj(def *cast.StructDef) (*structObj, error) {
-	obj := &structObj{fields: map[string]*cell{}}
+	obj := &structObj{def: def, fields: make([]*cell, 0, len(def.Fields))}
 	for _, f := range def.Fields {
 		if f.Pointer > 0 || len(f.ArrayDims) > 0 {
 			return nil, &ErrUnsupported{What: "non-scalar struct field " + f.Name}
@@ -58,13 +70,14 @@ func (in *Interp) newStructObj(def *cast.StructDef) (*structObj, error) {
 		if typeIsFloat(f.Type) {
 			v = FloatVal(0)
 		}
-		obj.fields[f.Name] = in.newCell(v)
+		obj.fields = append(obj.fields, in.newCell(v))
 	}
 	return obj, nil
 }
 
-// declareStruct allocates `struct X name` or `struct X name[dims]`.
-func (in *Interp) declareStruct(sc *scope, d *cast.VarDecl, def *cast.StructDef) error {
+// declareStruct allocates `struct X name` or `struct X name[dims]` and
+// binds it to slot.
+func (in *Interp) declareStruct(fr *frame, d *cast.VarDecl, def *cast.StructDef, slot *binding) error {
 	if d.Pointer > 0 {
 		return &ErrUnsupported{What: "pointer to struct"}
 	}
@@ -73,7 +86,7 @@ func (in *Interp) declareStruct(sc *scope, d *cast.VarDecl, def *cast.StructDef)
 		if err != nil {
 			return err
 		}
-		sc.vars[d.Name] = binding{sobj: obj}
+		*slot = binding{sobj: obj}
 		return nil
 	}
 	dims := make([]int64, len(d.ArrayDims))
@@ -82,7 +95,7 @@ func (in *Interp) declareStruct(sc *scope, d *cast.VarDecl, def *cast.StructDef)
 		if de == nil {
 			return &ErrUnsupported{What: "unsized struct array"}
 		}
-		v, err := in.eval(sc, de)
+		v, err := in.eval(fr, de)
 		if err != nil {
 			return err
 		}
@@ -103,16 +116,16 @@ func (in *Interp) declareStruct(sc *scope, d *cast.VarDecl, def *cast.StructDef)
 		}
 		sa.elems[i] = obj
 	}
-	sc.vars[d.Name] = binding{sarr: sa}
+	*slot = binding{sarr: sa}
 	return nil
 }
 
 // evalStructObj resolves an expression denoting a struct value: a struct
 // variable or a subscripted struct array.
-func (in *Interp) evalStructObj(sc *scope, e cast.Expr) (*structObj, error) {
+func (in *Interp) evalStructObj(fr *frame, e cast.Expr) (*structObj, error) {
 	switch x := e.(type) {
 	case *cast.Ident:
-		b, ok := sc.lookup(x.Name)
+		b, ok := in.lookup(fr, x)
 		if !ok {
 			return nil, &ErrUnsupported{What: "undeclared variable " + x.Name}
 		}
@@ -127,7 +140,7 @@ func (in *Interp) evalStructObj(sc *scope, e cast.Expr) (*structObj, error) {
 		if !ok {
 			return nil, &ErrUnsupported{What: "complex struct array base"}
 		}
-		b, ok := sc.lookup(id.Name)
+		b, ok := in.lookup(fr, id)
 		if !ok {
 			return nil, &ErrUnsupported{What: "undeclared array " + id.Name}
 		}
@@ -141,7 +154,7 @@ func (in *Interp) evalStructObj(sc *scope, e cast.Expr) (*structObj, error) {
 		}
 		idx = idx[:len(subs)]
 		for i, s := range subs {
-			v, err := in.eval(sc, s)
+			v, err := in.eval(fr, s)
 			if err != nil {
 				return nil, err
 			}
@@ -158,15 +171,15 @@ func (in *Interp) evalStructObj(sc *scope, e cast.Expr) (*structObj, error) {
 }
 
 // memberLValue resolves x.f (dot form only; -> needs pointers).
-func (in *Interp) memberLValue(sc *scope, m *cast.Member) (lvalue, error) {
+func (in *Interp) memberLValue(fr *frame, m *cast.Member) (lvalue, error) {
 	if m.Arrow {
 		return lvalue{}, &ErrUnsupported{What: "-> member access (pointers)"}
 	}
-	obj, err := in.evalStructObj(sc, m.X)
+	obj, err := in.evalStructObj(fr, m.X)
 	if err != nil {
 		return lvalue{}, err
 	}
-	c, ok := obj.fields[m.Name]
+	c, ok := obj.field(m.Name)
 	if !ok {
 		return lvalue{}, fmt.Errorf("no field %q", m.Name)
 	}

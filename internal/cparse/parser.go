@@ -41,6 +41,8 @@ type parser struct {
 	depth int
 	// ast is the slab allocator AST nodes come from (see session.go).
 	ast *astAlloc
+	// idents is the next cast.Ident.ID.
+	idents int
 }
 
 // ParseFile parses a full translation unit. The AST comes from a fresh
@@ -234,6 +236,7 @@ func (p *parser) parseFile() (*cast.File, error) {
 		}
 		file.Globals = append(file.Globals, decls...)
 	}
+	file.Idents = p.idents
 	return file, nil
 }
 
@@ -980,7 +983,8 @@ func (p *parser) parsePrimaryExpr() (cast.Expr, error) {
 	switch t.Kind {
 	case clex.Ident:
 		p.next()
-		return alloc(&p.ast.idents, cast.Ident{Name: t.Text, P: t.Pos}), nil
+		p.idents++
+		return alloc(&p.ast.idents, cast.Ident{Name: t.Text, ID: p.idents - 1, P: t.Pos}), nil
 	case clex.IntLit:
 		p.next()
 		v, _ := strconv.ParseInt(strings.TrimRight(t.Text, "uUlL"), 0, 64)
