@@ -2,6 +2,8 @@ package cinterp
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"graph2par/internal/cast"
 )
@@ -80,6 +82,31 @@ func (in *Interp) evalLValue(fr *frame, e cast.Expr) (lvalue, error) {
 	}
 }
 
+// charValue decodes a character literal's spelling, quotes included, the
+// way C does: a C octal escape has one to three digits, and every other
+// escape is Go's.
+func charValue(text string) int64 {
+	body := strings.TrimSuffix(strings.TrimPrefix(text, "'"), "'")
+	if len(body) >= 2 && body[0] == '\\' && body[1] >= '0' && body[1] <= '7' {
+		var v int64
+		for _, c := range body[1:min(len(body), 4)] {
+			if c < '0' || c > '7' {
+				break
+			}
+			v = v*8 + int64(c-'0')
+		}
+		return v
+	}
+	r, _, _, err := strconv.UnquoteChar(body, '\'')
+	if err != nil {
+		if body == "" {
+			return 0
+		}
+		return int64(body[0])
+	}
+	return int64(r)
+}
+
 // maxSubscripts bounds the subscript depth served from stack scratch in
 // the per-access hot path; deeper chains fall back to one heap allocation.
 const maxSubscripts = 8
@@ -122,10 +149,7 @@ func (in *Interp) eval(fr *frame, e cast.Expr) (Value, error) {
 	case *cast.FloatLit:
 		return FloatVal(x.Value), nil
 	case *cast.CharLit:
-		if len(x.Text) >= 3 {
-			return IntVal(int64(x.Text[1])), nil
-		}
-		return IntVal(0), nil
+		return IntVal(charValue(x.Text)), nil
 	case *cast.StringLit:
 		return Value{}, &ErrUnsupported{What: "string value"}
 	case *cast.Ident:
@@ -317,13 +341,13 @@ func (in *Interp) evalCall(fr *frame, x *cast.Call) (Value, error) {
 	}
 	name := fid.Name
 
-	// user-defined function?
+	// user-defined function? Arrays pass by reference (C decay), scalars
+	// by value, converted to the parameter's type.
 	if r := in.res.refs[fid.ID]; r.fn >= 0 {
 		fi := &in.res.funcs[r.fn]
 		callee := newFrame(fi)
 		for i, a := range x.Args {
 			var b binding
-			// arrays decay to references
 			if id, ok := a.(*cast.Ident); ok {
 				b, _ = in.lookup(fr, id)
 			}
@@ -331,6 +355,11 @@ func (in *Interp) evalCall(fr *frame, x *cast.Call) (Value, error) {
 				v, err := in.eval(fr, a)
 				if err != nil {
 					return Value{}, err
+				}
+				if i < len(fi.decl.Params) {
+					if p := fi.decl.Params[i]; p.Pointer == 0 && p.ArrayDims == 0 {
+						v = coerce(v, typeIsFloat(p.Type))
+					}
 				}
 				b = binding{cell: in.newCell(v)}
 			}

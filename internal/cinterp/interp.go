@@ -378,7 +378,7 @@ func (in *Interp) finishProfile() {
 const maxCallDepth = 1000
 
 // callFunc runs fi's body in fr, whose parameter slots hold the call's
-// first nargs arguments: arrays by reference (C decay), scalars by value.
+// first nargs arguments. The result takes the function's return type.
 func (in *Interp) callFunc(fi *funcInfo, fr *frame, nargs int) (Value, error) {
 	if err := in.step(); err != nil {
 		return Value{}, err
@@ -397,7 +397,10 @@ func (in *Interp) callFunc(fi *funcInfo, fr *frame, nargs int) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	return st.retVal, nil
+	if fn.RetType == "void" {
+		return st.retVal, nil
+	}
+	return coerce(st.retVal, typeIsFloat(fn.RetType)), nil
 }
 
 func (in *Interp) execStmt(fr *frame, s cast.Stmt, st *execState) error {

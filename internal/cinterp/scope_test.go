@@ -178,6 +178,29 @@ int main() {
 		src:  `int main() { return ghost[0]; }`,
 		err:  "cinterp: unsupported: undeclared array ghost",
 	},
+	// The values gcc 12.2 gives: arguments and results take their
+	// declared types, and character escapes decode as C's.
+	{
+		name: "an argument takes its parameter's type",
+		src: `int g(int x) { return x * 3 + 2; }
+int main() { double a = 2.5; return g(a); }`,
+		want: IntVal(8),
+	},
+	{
+		name: "a result takes its function's type",
+		src: `double h(int a) { return a; }
+int main() { double y = h(3) / 2; return y * 10; }`,
+		want: IntVal(15),
+	},
+	{
+		name: "main returns an int",
+		src:  `int main() { double x = 2.5; return x; }`,
+		want: IntVal(2),
+	},
+	{name: "newline escape", src: `int main() { return '\n'; }`, want: IntVal(10)},
+	{name: "octal escape", src: `int main() { return '\0'; }`, want: IntVal(0)},
+	{name: "quote escape", src: `int main() { return '\''; }`, want: IntVal(39)},
+	{name: "hex escape", src: `int main() { return '\x41'; }`, want: IntVal(65)},
 }
 
 func TestScopes(t *testing.T) {
