@@ -311,7 +311,7 @@ func (r *resolver) expr(e cast.Expr) {
 
 func (r *resolver) use(id *cast.Ident) {
 	if id.ID < 0 || id.ID >= len(r.res.refs) {
-		r.fail("identifier %s has ID %d, outside the file's %d", id.Name, id.ID, len(r.res.refs))
+		r.fail("identifier %s has ID %d, outside the file's %d identifiers", id.Name, id.ID, len(r.res.refs))
 		return
 	}
 	ref := &r.res.refs[id.ID]

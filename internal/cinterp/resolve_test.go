@@ -2,6 +2,7 @@ package cinterp
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -46,5 +47,31 @@ func TestResolveRejectsBadIdentIDs(t *testing.T) {
 				t.Errorf("err = %v, want ErrUnsupported mentioning %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestBlockEntryAllocatesNothing pins that entering and leaving a block
+// costs no allocation: a run whose loop enters nested blocks 1,000 times
+// allocates as much as one that enters them 10 times. A declaration
+// still allocates its object, once per execution.
+func TestBlockEntryAllocatesNothing(t *testing.T) {
+	const src = `int main() {
+    int i, s = 0;
+    for (i = 0; i < %d; i++) { { s += i; } if (s > 0) { s -= 1; } }
+    return s;
+}`
+	allocs := func(n int) float64 {
+		f, err := cparse.ParseFile(fmt.Sprintf(src, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := New(f).Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(1000); many != few {
+		t.Errorf("a run allocates %v times with 10 block entries and %v with 1,000; want equal", few, many)
 	}
 }
