@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	go test -bench 'AnalyzeFiles|RewriteFile' -benchtime 3x -run '^$' . \
+//	go test -bench 'AnalyzeFiles|RewriteFile' -benchtime 5x -run '^$' . \
 //	  | benchjson -out BENCH_pr5.json \
 //	      -baseline BENCH_baseline.json -gate BenchmarkAnalyzeFilesBatched -max-regress 20 \
 //	      -gate-ratio BenchmarkRewriteFile/BenchmarkAnalyzeFilesSerial -max-ratio 2.5
@@ -143,6 +143,12 @@ func gate(current, baseline *Summary, name string, maxRegressPct float64) (strin
 // (current must be at least that many percent below the baseline). A gate
 // benchmark (or baseline) without -benchmem data is a warning, not a
 // failure, so the first -benchmem baseline can land with the gate.
+//
+// The two rows must also share their iteration count n. A pooled
+// benchmark grows its pools in the first pass, and allocs/op spreads
+// that growth over n, so rows taken at different -benchtime values
+// differ by the pool growth alone: BenchmarkFrontendBuildGraph reads
+// 1,823 allocs/op at 3x and 1,490 at 5x.
 func gateAllocs(current, baseline *Summary, name string, maxRegressPct float64) (string, error) {
 	cur, ok := current.Benchmarks[name]
 	if !ok {
@@ -154,6 +160,10 @@ func gateAllocs(current, baseline *Summary, name string, maxRegressPct float64) 
 	base, ok := baseline.Benchmarks[name]
 	if !ok || !base.memPresent() {
 		return fmt.Sprintf("benchjson: %s has no committed allocs/op baseline yet; allocs gate skipped", name), nil
+	}
+	if cur.N != base.N {
+		return "", fmt.Errorf("benchjson: %s ran n=%d iterations but its baseline n=%d; allocs/op compares only at equal n (run at -benchtime %dx)",
+			name, cur.N, base.N, base.N)
 	}
 	limit := base.AllocsPerOp * (1 + maxRegressPct/100)
 	delta := (cur.AllocsPerOp - base.AllocsPerOp) / base.AllocsPerOp * 100

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -200,6 +201,33 @@ func TestGateAllocs(t *testing.T) {
 }
 
 // TestGateRatioAllocs covers the "@allocs" metric selector.
+// TestGateAllocsNeedsEqualN pins that an allocs gate fails, naming both
+// iteration counts, when the run's n differs from its baseline row's.
+func TestGateAllocsNeedsEqualN(t *testing.T) {
+	base := &Summary{Benchmarks: map[string]Result{
+		"BenchmarkFrontendBuildGraph": {N: 5, NsPerOp: 1, AllocsPerOp: 1490, HasMem: true},
+	}}
+	run := func(n int, allocs float64) *Summary {
+		return &Summary{Benchmarks: map[string]Result{
+			"BenchmarkFrontendBuildGraph": {N: n, NsPerOp: 1, AllocsPerOp: allocs, HasMem: true},
+		}}
+	}
+	if _, err := gateAllocs(run(5, 1490), base, "BenchmarkFrontendBuildGraph", 10); err != nil {
+		t.Errorf("equal n and allocs should pass: %v", err)
+	}
+	for _, n := range []int{3, 20} {
+		_, err := gateAllocs(run(n, 1490), base, "BenchmarkFrontendBuildGraph", 10)
+		if err == nil {
+			t.Fatalf("n=%d against a baseline at n=5 should fail", n)
+		}
+		for _, want := range []string{fmt.Sprintf("n=%d", n), "n=5"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %q", err, want)
+			}
+		}
+	}
+}
+
 func TestGateRatioAllocs(t *testing.T) {
 	run := &Summary{Benchmarks: map[string]Result{
 		"BenchmarkFrontendPipeline":      {N: 3, NsPerOp: 10, AllocsPerOp: 2000},
@@ -242,7 +270,7 @@ func TestZeroAllocsIsData(t *testing.T) {
 
 	// An allocs gate against a zero baseline passes when current is zero.
 	base := &Summary{Benchmarks: map[string]Result{
-		"BenchmarkZeroEverything": {N: 1, NsPerOp: 1, HasMem: true},
+		"BenchmarkZeroEverything": {N: 20, NsPerOp: 1, HasMem: true},
 	}}
 	if _, err := gateAllocs(s, base, "BenchmarkZeroEverything", 10); err != nil {
 		t.Errorf("0 vs 0 allocs should pass: %v", err)
