@@ -54,7 +54,7 @@ func (b *binding) bound() bool {
 type Interp struct {
 	file *cast.File
 	// res is the current run's name resolution (resolve.go).
-	res *resolution
+	res resolution
 
 	// MaxSteps bounds execution; defaults to 2,000,000 evaluation steps.
 	MaxSteps int
@@ -139,11 +139,13 @@ func (in *Interp) Run() (Value, error) {
 	}
 	defer in.densifyCaptures()
 	in.cellsLeft = maxRunCells
-	res, err := resolve(in)
-	if err != nil {
+	if err := in.resolve(); err != nil {
 		return Value{}, err
 	}
-	in.res = res
+	res := &in.res
+	if in.bound == nil {
+		in.bound = make([]*binding, 0, 16)
+	}
 	var top frame // global initializers see only globals
 	for i, g := range in.file.Globals {
 		if err := in.declare(&top, g, &res.globals[res.globalSlots[i]]); err != nil {

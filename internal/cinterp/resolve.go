@@ -2,6 +2,7 @@ package cinterp
 
 import (
 	"fmt"
+	"sync"
 
 	"graph2par/internal/cast"
 )
@@ -78,31 +79,47 @@ type resolver struct {
 	// stack holds the global names, then the names of the current
 	// function's enclosing blocks, innermost last.
 	stack []named
-	outer []int32         // the current function's outer links
+	// outer holds every function's outer links, the current one's from
+	// base on, until resolve copies them out.
+	outer []int32
+	base  int
 	decls []*cast.VarDecl // block's scratch
 	nodes []cast.Node     // expr's scratch
 	err   error
 }
 
-// resolve lays out the interpreter's file for one Run. It fails on an
-// identifier whose ID is out of range or shared with another, which only a
-// hand-built AST has.
-func resolve(in *Interp) (*resolution, error) {
+// resolverPool keeps the resolver's scratch stacks across runs.
+var resolverPool = sync.Pool{New: func() any { return new(resolver) }}
+
+// resolve lays out the interpreter's file for one Run into in.res. It
+// fails on an identifier whose ID is out of range or shared with another,
+// which only a hand-built AST has.
+func (in *Interp) resolve() error {
 	f := in.file
-	res := &resolution{
-		refs:    make([]ref, f.Idents),
-		decls:   map[*cast.VarDecl]int32{},
-		main:    -1,
-		capture: make([]ref, len(in.CaptureNames)),
-		watch:   make([]ref, len(in.Watch)),
-		rev:     noRef,
-	}
-	for _, refs := range [][]ref{res.refs, res.capture, res.watch} {
-		for i := range refs {
-			refs[i] = noRef
+	nfuncs, nparams := 0, 0
+	for _, fn := range f.Funcs {
+		if fn.Body != nil {
+			nfuncs++
+			nparams += len(fn.Params)
 		}
 	}
-	r := &resolver{in: in, res: res}
+	refs := make([]ref, f.Idents+len(in.CaptureNames)+len(in.Watch))
+	for i := range refs {
+		refs[i] = noRef
+	}
+	res := &in.res
+	*res = resolution{
+		refs:        refs[:f.Idents],
+		capture:     refs[f.Idents : f.Idents+len(in.CaptureNames)],
+		watch:       refs[f.Idents+len(in.CaptureNames):],
+		rev:         noRef,
+		decls:       map[*cast.VarDecl]int32{},
+		funcs:       make([]funcInfo, 0, nfuncs),
+		main:        -1,
+		globalSlots: make([]int32, len(f.Globals)),
+	}
+	r := resolverPool.Get().(*resolver)
+	r.in, r.res = in, res
 	for _, fn := range f.Funcs {
 		if fn.Body == nil {
 			continue
@@ -112,29 +129,44 @@ func resolve(in *Interp) (*resolution, error) {
 			res.main = int32(len(res.funcs) - 1)
 		}
 	}
-	for _, g := range f.Globals {
+	for i, g := range f.Globals {
 		slot, ok := r.find(g.Name, 0)
 		if !ok {
 			slot = int32(len(r.stack))
 			r.stack = append(r.stack, named{name: g.Name, slot: slot, global: true})
 		}
-		res.globalSlots = append(res.globalSlots, slot)
+		res.globalSlots[i] = slot
 	}
 	res.globals = make([]binding, len(r.stack))
 	for _, g := range f.Globals {
 		r.declExprs(g)
 	}
 	nglobals := len(r.stack)
+	params := make([]int32, 0, nparams)
 	for i := range res.funcs {
 		fi := &res.funcs[i]
-		r.stack, r.outer = r.stack[:nglobals], nil
+		r.stack, r.base = r.stack[:nglobals], len(r.outer)
 		for _, p := range fi.decl.Params {
-			fi.params = append(fi.params, r.slotFor(p.Name, nglobals))
+			params = append(params, r.slotFor(p.Name, nglobals))
 		}
+		fi.params = params[len(params)-len(fi.decl.Params):]
 		r.stmt(fi.decl.Body)
-		fi.outer = r.outer
+		fi.outer = r.outer[r.base:]
 	}
-	return res, r.err
+	// Each function's links move out of the pooled scratch into one slice.
+	outer := append([]int32(nil), r.outer...)
+	for i, start := 0, 0; i < len(res.funcs); i++ {
+		end := start + len(res.funcs[i].outer)
+		res.funcs[i].outer = outer[start:end:end]
+		start = end
+	}
+	err := r.err
+	clear(r.stack[:cap(r.stack)])
+	clear(r.decls[:cap(r.decls)])
+	clear(r.nodes[:cap(r.nodes)])
+	*r = resolver{stack: r.stack[:0], outer: r.outer[:0], decls: r.decls[:0], nodes: r.nodes[:0]}
+	resolverPool.Put(r)
+	return err
 }
 
 func (r *resolver) fail(format string, args ...any) {
@@ -180,7 +212,7 @@ func (r *resolver) slotFor(name string, mark int) int32 {
 	if slot, ok := r.find(name, mark); ok {
 		return slot
 	}
-	slot := int32(len(r.outer))
+	slot := int32(len(r.outer) - r.base)
 	r.outer = append(r.outer, r.lookup(name).slot)
 	r.stack = append(r.stack, named{name: name, slot: slot})
 	return slot

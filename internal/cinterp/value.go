@@ -8,6 +8,11 @@
 // fail with an error, which is exactly the coverage gap dynamic tools have
 // in the paper (only 3.7% of dataset loops are processable by DiscoPoP).
 //
+// No access hashes a name or an address. Run first resolves every
+// identifier of the file to a slot in a call frame or in the globals
+// frame (resolve.go), and the profile lives on the cells and arrays it
+// profiles.
+//
 // Arrays are stored in fixed-size chunks that are created on first write,
 // so a declared but untouched array costs almost nothing. A run may hold
 // at most maxRunCells array cells; past that it fails with ErrUnsupported,
