@@ -52,8 +52,9 @@ func TestResolveRejectsBadIdentIDs(t *testing.T) {
 
 // TestBlockEntryAllocatesNothing pins that entering and leaving a block
 // costs no allocation: a run whose loop enters nested blocks 1,000 times
-// allocates as much as one that enters them 10 times. A declaration
-// still allocates its object, once per execution.
+// allocates as much as one that enters them 10 times, give or take the
+// few a refilled pool costs (the race detector drops pooled items at
+// random). A declaration still allocates its object, once per execution.
 func TestBlockEntryAllocatesNothing(t *testing.T) {
 	const src = `int main() {
     int i, s = 0;
@@ -71,7 +72,7 @@ func TestBlockEntryAllocatesNothing(t *testing.T) {
 			}
 		})
 	}
-	if few, many := allocs(10), allocs(1000); many != few {
-		t.Errorf("a run allocates %v times with 10 block entries and %v with 1,000; want equal", few, many)
+	if few, many := allocs(10), allocs(1000); many > few+10 {
+		t.Errorf("a run allocates %v times with 10 block entries and %v with 1,000; want about equal", few, many)
 	}
 }
