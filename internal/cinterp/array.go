@@ -20,7 +20,7 @@ const (
 // do not count. When a block ends, the cells of its arrays go back to the
 // budget unless a snapshot shares them. The interpreter keeps at most one
 // snapshot per captured array, so a run holds at most twice maxRunCells
-// cells.
+// cells. The loop profile has a bound of its own (profile.go).
 const (
 	maxArrayCells = 4_000_000
 	maxRunCells   = maxArrayCells

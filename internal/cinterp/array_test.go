@@ -255,6 +255,60 @@ func TestRunCellBudget(t *testing.T) {
 	}
 }
 
+// TestProfileBound checks that the loop profile holds at most
+// maxProfileChunks chunks. A traced loop that only reads five maximal
+// arrays, one cell per chunk, creates no array cells but would profile
+// 78,125 chunks (320 MB); it must fail as unsupported at the bound,
+// while the same loop writing them fails on the cell budget. A
+// block-local array the traced body declares afresh each iteration hands
+// its profile chunk back when its block ends, so 20,000 iterations fit.
+func TestProfileBound(t *testing.T) {
+	strided := strings.Replace(hugeArrays, "a[i] = 1; b[i] = 1; c[i] = 1; d[i] = 1; e[i] = 1;",
+		"s = s + a[i] + b[i] + c[i] + d[i] + e[i];", 1)
+	strided = strings.Replace(strided, "int i;", "int i, s = 0;", 1)
+	in := prepTraced(t, strided, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := in.Run()
+	runtime.ReadMemStats(&after)
+	var unsup *ErrUnsupported
+	if !errors.As(err, &unsup) || !strings.Contains(unsup.What, "profiled cells over") {
+		t.Fatalf("strided reads: err = %v, want ErrUnsupported for the profile bound", err)
+	}
+	// The bound's 15,625 chunks are 64 MB.
+	mb := (after.TotalAlloc - before.TotalAlloc) >> 20
+	t.Logf("the refused run allocated %d MB", mb)
+	if mb > 96 {
+		t.Errorf("the refused run allocated %d MB, want at most 96", mb)
+	}
+	// Writes reach the cell budget and the bound at the same chunk; they
+	// fail on the cell budget, as they do untraced.
+	_, err = prepTraced(t, hugeArrays, 0).Run()
+	if !errors.As(err, &unsup) || !strings.Contains(unsup.What, "array cells over") {
+		t.Errorf("traced writes: err = %v, want ErrUnsupported for the cell budget", err)
+	}
+
+	const redeclared = `int main() {
+    int i, s = 0;
+    for (i = 0; i < 20000; i++) { int t[4]; t[0] = i; s = s + t[0]; }
+    return s;
+}`
+	in = prepTraced(t, redeclared, 0)
+	in.Watch = []Watch{{Name: "i", Role: Exempt}}
+	runtime.ReadMemStats(&before)
+	v, err := in.Run()
+	runtime.ReadMemStats(&after)
+	if want := int64(20000 * 19999 / 2); err != nil || v.AsInt() != want {
+		t.Fatalf("block-local array declared 20000 times: %v, %v, want %d", v, err, want)
+	}
+	if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb > 32 {
+		t.Errorf("block-local array declared 20000 times: run allocated %d MB, want at most 32", mb)
+	}
+	if c := in.Profile.Cells; len(c) != 1 || c[0].Addr.Elem != ScalarElem || !c[0].Shared {
+		t.Errorf("profile cells = %+v, want only s, shared", c)
+	}
+}
+
 // nestSrc is the rewrite pool's slowest file with the harness's main: the
 // traced inner loop exits 4,015 times, each time with d captured.
 const nestSrc = `int src[4020];

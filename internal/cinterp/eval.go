@@ -15,21 +15,26 @@ type lvalue struct {
 	elem int64
 }
 
-func (in *Interp) load(lv lvalue) Value {
-	in.traceAccess(lv, false)
-	if lv.cell != nil {
-		return lv.cell.val
+func (in *Interp) load(lv lvalue) (Value, error) {
+	if err := in.traceAccess(lv, false); err != nil {
+		return Value{}, err
 	}
-	return lv.arr.get(lv.elem)
+	if lv.cell != nil {
+		return lv.cell.val, nil
+	}
+	return lv.arr.get(lv.elem), nil
 }
 
+// store writes lv before profiling the write, so a write that passes
+// both the cell budget and the profile bound fails on the cell budget,
+// as it does untraced.
 func (in *Interp) store(lv lvalue, v Value) error {
-	in.traceAccess(lv, true)
 	if lv.cell != nil {
 		lv.cell.val = v
-		return nil
+	} else if err := lv.arr.set(lv.elem, v); err != nil {
+		return err
 	}
-	return lv.arr.set(lv.elem, v)
+	return in.traceAccess(lv, true)
 }
 
 func (in *Interp) evalLValue(fr *frame, e cast.Expr) (lvalue, error) {
@@ -157,13 +162,13 @@ func (in *Interp) eval(fr *frame, e cast.Expr) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return in.load(lv), nil
+		return in.load(lv)
 	case *cast.Index:
 		lv, err := in.evalLValue(fr, x)
 		if err != nil {
 			return Value{}, err
 		}
-		return in.load(lv), nil
+		return in.load(lv)
 	case *cast.Binary:
 		// short-circuit for && and ||
 		if x.Op == "&&" {
@@ -236,7 +241,7 @@ func (in *Interp) eval(fr *frame, e cast.Expr) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return in.load(lv), nil
+		return in.load(lv)
 	default:
 		return Value{}, &ErrUnsupported{What: fmt.Sprintf("expression %T", e)}
 	}
@@ -272,7 +277,10 @@ func (in *Interp) evalUnary(fr *frame, x *cast.Unary) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		old := in.load(lv)
+		old, err := in.load(lv)
+		if err != nil {
+			return Value{}, err
+		}
 		delta := IntVal(1)
 		op := "+"
 		if x.Op == "--" {
@@ -314,7 +322,10 @@ func (in *Interp) evalAssign(fr *frame, x *cast.Assign) (Value, error) {
 		}
 		return rhs, nil
 	}
-	old := in.load(lv)
+	old, err := in.load(lv)
+	if err != nil {
+		return Value{}, err
+	}
 	op := x.Op[:len(x.Op)-1] // "+=" -> "+"
 	nv, err := binop(op, old, rhs)
 	if err != nil {

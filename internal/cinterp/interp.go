@@ -293,8 +293,7 @@ func (in *Interp) declare(fr *frame, d *cast.VarDecl, slot *binding) error {
 	}
 	c := in.newCell(v)
 	*slot = binding{cell: c}
-	in.traceAccess(lvalue{cell: c}, true)
-	return nil
+	return in.traceAccess(lvalue{cell: c}, true)
 }
 
 func (in *Interp) fillInit(fr *frame, arr *array, lst *cast.InitList) error {
@@ -346,30 +345,38 @@ func coerce(v Value, wantFloat bool) Value {
 
 // release ends a block that began when declared held mark arrays: the
 // arrays declared since go back to the run budget, except those a
-// snapshot shares. An array never snapshotted (gen 0) was charged for
-// every chunk it holds.
+// snapshot shares, and their loop profiles retire. An array never
+// snapshotted (gen 0) was charged for every chunk it holds.
 func (in *Interp) release(mark int) {
 	for _, a := range in.declared[mark:] {
 		if a.gen == 0 {
 			in.cellsLeft += a.cells()
+		}
+		if a.prof != nil {
+			in.prof.retire(a.prof)
 		}
 	}
 	clear(in.declared[mark:])
 	in.declared = in.declared[:mark]
 }
 
-func (in *Interp) traceAccess(lv lvalue, write bool) {
+// traceAccess profiles an access made inside the instrumented loop. It
+// fails only when the profile would pass maxProfileChunks.
+func (in *Interp) traceAccess(lv lvalue, write bool) error {
 	if in.inLoop && in.prof != nil {
-		in.prof.access(lv, write, in.iter)
+		return in.prof.access(lv, write, in.iter)
 	}
+	return nil
 }
 
 // finishProfile hands the run's profile to the caller and the profiler
-// back to its pool.
+// back to its pool, unless the run grew it past maxPooledChunks.
 func (in *Interp) finishProfile() {
 	in.Profile = in.prof.summary()
-	in.prof.reset()
-	profilerPool.Put(in.prof)
+	if in.prof.chunksTaken <= maxPooledChunks {
+		in.prof.reset()
+		profilerPool.Put(in.prof)
+	}
 	in.prof = nil
 }
 

@@ -2,6 +2,7 @@ package cinterp
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sync"
 
@@ -72,6 +73,16 @@ type Cell struct {
 // list put on the object. Every entry comes from the run's profiler, whose
 // slabs are pooled across runs, so a run allocates nothing per address in
 // steady state.
+//
+// A run may hold at most maxProfileChunks elemChunks at once, apart from
+// its array cell budget (array.go): a read of a chunk that was never
+// written creates no cells, so a loop that strides over large untouched
+// arrays would otherwise grow the profile by 4 KB per access. When an
+// array's block ends, its Shared cells move to the profiler's finished
+// list and its chunks to a free list, so an array the loop body declares
+// afresh each iteration is profiled in one chunk. Keeping the bound apart
+// from the cell budget means tracing a loop never changes which runs the
+// cell budget refuses.
 
 // elemProfile is one address's profile while the run lasts.
 type elemProfile struct {
@@ -138,9 +149,16 @@ type profiler struct {
 	scalarSlab slab.Slab[scalarProfile]
 	arraySlab  slab.Slab[arrayProfile]
 	chunkSlab  slab.Slab[elemChunk]
+	// chunksTaken counts the chunks the run took from chunkSlab; free
+	// holds the zeroed chunks of retired arrays for reuse, so the run
+	// holds chunksTaken - len(free) chunks.
+	chunksTaken int
+	free        []*elemChunk
 	// scalars and arrays are the touched objects, in first-touch order.
 	scalars []*scalarProfile
 	arrays  []*arrayProfile
+	// done holds the Shared cells of the arrays retired so far.
+	done []Cell
 	// markedScalars and markedArrays carry the current entry's marks.
 	markedScalars []*scalarProfile
 	markedArrays  []*arrayProfile
@@ -149,6 +167,15 @@ type profiler struct {
 }
 
 var profilerPool = sync.Pool{New: func() any { return &profiler{maxIter: -1} }}
+
+// maxProfileChunks caps the element chunks one run holds: as many
+// entries as the run's cell budget has cells, 64 MB. maxPooledChunks
+// bounds the chunks a pooled profiler keeps: a run that took more drops
+// its profiler rather than pool it.
+const (
+	maxProfileChunks = maxRunCells / chunkCells
+	maxPooledChunks  = 1024
+)
 
 func (p *profiler) ofCell(c *cell) *scalarProfile {
 	if c.prof == nil {
@@ -199,15 +226,16 @@ func (in *Interp) markWatched(fr *frame) {
 	}
 }
 
-// access folds one access made inside the instrumented loop.
-func (p *profiler) access(lv lvalue, write bool, iter int) {
+// access folds one access made inside the instrumented loop. It fails
+// only when an array access needs a chunk past maxProfileChunks.
+func (p *profiler) access(lv lvalue, write bool, iter int) error {
 	if iter > p.maxIter {
 		p.maxIter = iter
 	}
 	if lv.cell != nil {
 		sp := p.ofCell(lv.cell)
 		if sp.exempt {
-			return
+			return nil
 		}
 		if !sp.touched && sp.reduction {
 			sp.red = &redWrites{lastWrite: -1}
@@ -218,11 +246,11 @@ func (p *profiler) access(lv lvalue, write bool, iter int) {
 		if sp.red != nil {
 			sp.red.add(write, iter)
 		}
-		return
+		return nil
 	}
 	ap := p.ofArray(lv.arr)
 	if ap.exempt {
-		return
+		return nil
 	}
 	if ap.chunks == nil {
 		ap.chunks = make([]*elemChunk, len(lv.arr.chunks))
@@ -230,10 +258,51 @@ func (p *profiler) access(lv lvalue, write bool, iter int) {
 	}
 	k := lv.elem >> chunkShift
 	if ap.chunks[k] == nil {
-		ap.chunks[k] = p.chunkSlab.Get()
+		if len(p.free) == 0 && p.chunksTaken == maxProfileChunks {
+			return &ErrUnsupported{What: fmt.Sprintf("profiled cells over %d in one run", maxProfileChunks*chunkCells)}
+		}
+		ap.chunks[k] = p.newChunk()
 	}
 	touch(&ap.chunks[k][lv.elem&chunkMask], write, iter)
 	p.arrayW = p.arrayW || write
+	return nil
+}
+
+// newChunk returns a zeroed element chunk, reusing a retired one first.
+func (p *profiler) newChunk() *elemChunk {
+	if n := len(p.free); n > 0 {
+		ch := p.free[n-1]
+		p.free = p.free[:n-1]
+		return ch
+	}
+	p.chunksTaken++
+	return p.chunkSlab.Get()
+}
+
+// retire folds the profile of an array whose block has ended: no access
+// can reach it again, so its Shared cells are final. They move to done,
+// and its chunks to the free list.
+func (p *profiler) retire(ap *arrayProfile) {
+	for k, ch := range ap.chunks {
+		if ch == nil {
+			continue
+		}
+		p.done = appendShared(p.done, ap, k, ch)
+		*ch = elemChunk{}
+		p.free = append(p.free, ch)
+	}
+	ap.chunks = nil
+}
+
+// appendShared appends the Shared cells of ap's chunk k to cells.
+func appendShared(cells []Cell, ap *arrayProfile, k int, ch *elemChunk) []Cell {
+	for j := range ch {
+		if e := &ch[j]; e.written && e.multiIter {
+			elem := int64(k)<<chunkShift + int64(j)
+			cells = append(cells, Cell{Addr: Addr{Obj: ap.obj, Elem: elem}, Name: ap.name, Shared: true})
+		}
+	}
+	return cells
 }
 
 // touch folds one access into e and reports whether it was e's first.
@@ -251,6 +320,7 @@ func touch(e *elemProfile, write bool, iter int) bool {
 // summary walks the touched objects into the caller's Profile.
 func (p *profiler) summary() Profile {
 	out := Profile{MaxIter: p.maxIter, ArrayWritten: p.arrayW}
+	out.Cells = append(out.Cells, p.done...)
 	for _, sp := range p.scalars {
 		shared := sp.written && sp.multiIter
 		if !shared && sp.red == nil {
@@ -265,14 +335,8 @@ func (p *profiler) summary() Profile {
 	}
 	for _, ap := range p.arrays {
 		for k, ch := range ap.chunks {
-			if ch == nil {
-				continue
-			}
-			for j := range ch {
-				if e := &ch[j]; e.written && e.multiIter {
-					elem := int64(k)<<chunkShift + int64(j)
-					out.Cells = append(out.Cells, Cell{Addr: Addr{Obj: ap.obj, Elem: elem}, Name: ap.name, Shared: true})
-				}
+			if ch != nil {
+				out.Cells = appendShared(out.Cells, ap, k, ch)
 			}
 		}
 	}
@@ -289,11 +353,13 @@ func (p *profiler) reset() {
 	p.scalarSlab.Reset()
 	p.arraySlab.Reset()
 	p.chunkSlab.Reset()
+	clear(p.free)
 	clear(p.scalars)
 	clear(p.arrays)
+	clear(p.done)
 	clear(p.markedScalars)
 	clear(p.markedArrays)
-	p.scalars, p.arrays = p.scalars[:0], p.arrays[:0]
+	p.free, p.scalars, p.arrays, p.done = p.free[:0], p.scalars[:0], p.arrays[:0], p.done[:0]
 	p.markedScalars, p.markedArrays = p.markedScalars[:0], p.markedArrays[:0]
-	p.maxIter, p.arrayW = -1, false
+	p.chunksTaken, p.maxIter, p.arrayW = 0, -1, false
 }

@@ -15,9 +15,10 @@
 //
 // Arrays are stored in fixed-size chunks that are created on first write,
 // so a declared but untouched array costs almost nothing. A run may hold
-// at most maxRunCells array cells; past that it fails with ErrUnsupported,
-// like a call stack deeper than maxCallDepth. The cells of a block's arrays
-// go back to that budget when the block ends. Captures at the traced
+// at most maxRunCells array cells, and its loop profile as many entries;
+// past either it fails with ErrUnsupported, like a call stack deeper than
+// maxCallDepth. The cells of a block's arrays, and their profile entries,
+// are given back when the block ends. Captures at the traced
 // loop's exits share chunks with the live arrays (copy on write), and Run
 // turns the last one into dense slices when it returns.
 package cinterp
