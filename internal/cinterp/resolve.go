@@ -2,7 +2,6 @@ package cinterp
 
 import (
 	"fmt"
-	"sync"
 
 	"graph2par/internal/cast"
 )
@@ -66,30 +65,38 @@ type resolution struct {
 	rev            ref
 }
 
-// named is one visible name on the resolver's stack.
+// symbol is what the resolver knows of one name while it walks the file.
+type symbol struct {
+	global int32 // the global's slot, or -1
+	fn     int32 // the defined function's index (the last definition), or -1
+	inner  int32 // the innermost stack entry that declares the name, or -1
+}
+
+// named is one local name on the resolver's stack.
 type named struct {
-	name   string
-	slot   int32
-	global bool
+	sym  int32
+	slot int32
+	prev int32 // the entry of the same name this one shadows, or -1
 }
 
 type resolver struct {
 	in  *Interp
 	res *resolution
-	// stack holds the global names, then the names of the current
-	// function's enclosing blocks, innermost last.
+	// syms numbers the file's names once per resolve, so that each name a
+	// walk meets costs one hash.
+	syms    map[string]int32
+	symbols []symbol
+	// stack holds the names of the current function's enclosing blocks,
+	// innermost last.
 	stack []named
 	// outer holds every function's outer links, the current one's from
-	// base on, until resolve copies them out.
+	// base on.
 	outer []int32
 	base  int
 	decls []*cast.VarDecl // block's scratch
 	nodes []cast.Node     // expr's scratch
 	err   error
 }
-
-// resolverPool keeps the resolver's scratch stacks across runs.
-var resolverPool = sync.Pool{New: func() any { return new(resolver) }}
 
 // resolve lays out the interpreter's file for one Run into in.res. It
 // fails on an identifier whose ID is out of range or shared with another,
@@ -118,55 +125,45 @@ func (in *Interp) resolve() error {
 		main:        -1,
 		globalSlots: make([]int32, len(f.Globals)),
 	}
-	r := resolverPool.Get().(*resolver)
-	r.in, r.res = in, res
+	r := resolver{in: in, res: res, syms: make(map[string]int32, nfuncs+len(f.Globals))}
 	for _, fn := range f.Funcs {
 		if fn.Body == nil {
 			continue
 		}
+		i, si := int32(len(res.funcs)), r.sym(fn.Name)
 		res.funcs = append(res.funcs, funcInfo{decl: fn})
+		r.symbols[si].fn = i
 		if fn.Name == "main" {
-			res.main = int32(len(res.funcs) - 1)
+			res.main = i
 		}
 	}
+	nglobals := int32(0)
 	for i, g := range f.Globals {
-		slot, ok := r.find(g.Name, 0)
-		if !ok {
-			slot = int32(len(r.stack))
-			r.stack = append(r.stack, named{name: g.Name, slot: slot, global: true})
+		si := r.sym(g.Name)
+		s := &r.symbols[si]
+		if s.global < 0 {
+			s.global = nglobals
+			nglobals++
 		}
-		res.globalSlots[i] = slot
+		res.globalSlots[i] = s.global
 	}
-	res.globals = make([]binding, len(r.stack))
+	res.globals = make([]binding, nglobals)
 	for _, g := range f.Globals {
 		r.declExprs(g)
 	}
-	nglobals := len(r.stack)
 	params := make([]int32, 0, nparams)
 	for i := range res.funcs {
 		fi := &res.funcs[i]
-		r.stack, r.base = r.stack[:nglobals], len(r.outer)
+		r.base = len(r.outer)
 		for _, p := range fi.decl.Params {
-			params = append(params, r.slotFor(p.Name, nglobals))
+			params = append(params, r.slotFor(p.Name, 0))
 		}
 		fi.params = params[len(params)-len(fi.decl.Params):]
 		r.stmt(fi.decl.Body)
-		fi.outer = r.outer[r.base:]
+		r.pop(0)
+		fi.outer = r.outer[r.base:len(r.outer):len(r.outer)]
 	}
-	// Each function's links move out of the pooled scratch into one slice.
-	outer := append([]int32(nil), r.outer...)
-	for i, start := 0, 0; i < len(res.funcs); i++ {
-		end := start + len(res.funcs[i].outer)
-		res.funcs[i].outer = outer[start:end:end]
-		start = end
-	}
-	err := r.err
-	clear(r.stack[:cap(r.stack)])
-	clear(r.decls[:cap(r.decls)])
-	clear(r.nodes[:cap(r.nodes)])
-	*r = resolver{stack: r.stack[:0], outer: r.outer[:0], decls: r.decls[:0], nodes: r.nodes[:0]}
-	resolverPool.Put(r)
-	return err
+	return r.err
 }
 
 func (r *resolver) fail(format string, args ...any) {
@@ -175,32 +172,24 @@ func (r *resolver) fail(format string, args ...any) {
 	}
 }
 
-// find returns the slot of name among the stack entries from index from
-// up, innermost first.
-func (r *resolver) find(name string, from int) (int32, bool) {
-	for i := len(r.stack) - 1; i >= from; i-- {
-		if r.stack[i].name == name {
-			return r.stack[i].slot, true
-		}
+// sym returns the number of name, numbering it on first sight.
+func (r *resolver) sym(name string) int32 {
+	if i, ok := r.syms[name]; ok {
+		return i
 	}
-	return -1, false
+	i := int32(len(r.symbols))
+	r.syms[name] = i
+	r.symbols = append(r.symbols, symbol{global: -1, fn: -1, inner: -1})
+	return i
 }
 
-// lookup resolves a name against the whole stack.
+// lookup resolves a name at the current point of the walk.
 func (r *resolver) lookup(name string) ref {
-	out := noRef
-	for i := len(r.stack) - 1; i >= 0; i-- {
-		e := r.stack[i]
-		if e.name != name {
-			continue
-		}
-		if e.global {
-			out.global = e.slot
-			break
-		}
-		if out.slot < 0 {
-			out.slot = e.slot
-		}
+	si := r.sym(name)
+	s := r.symbols[si]
+	out := ref{slot: -1, global: s.global, fn: s.fn}
+	if s.inner >= 0 {
+		out.slot = r.stack[s.inner].slot
 	}
 	return out
 }
@@ -209,13 +198,29 @@ func (r *resolver) lookup(name string) ref {
 // stack index mark. A name the block has not declared yet gets a fresh
 // slot, linked to the same name's slot in the nearest enclosing block.
 func (r *resolver) slotFor(name string, mark int) int32 {
-	if slot, ok := r.find(name, mark); ok {
-		return slot
+	si := r.sym(name)
+	inner := r.symbols[si].inner
+	if int(inner) >= mark {
+		return r.stack[inner].slot
+	}
+	link := int32(-1)
+	if inner >= 0 {
+		link = r.stack[inner].slot
 	}
 	slot := int32(len(r.outer) - r.base)
-	r.outer = append(r.outer, r.lookup(name).slot)
-	r.stack = append(r.stack, named{name: name, slot: slot})
+	r.outer = append(r.outer, link)
+	r.symbols[si].inner = int32(len(r.stack))
+	r.stack = append(r.stack, named{sym: si, slot: slot, prev: inner})
 	return slot
+}
+
+// pop ends the block whose names begin at stack index mark.
+func (r *resolver) pop(mark int) {
+	for i := len(r.stack) - 1; i >= mark; i-- {
+		e := r.stack[i]
+		r.symbols[e.sym].inner = e.prev
+	}
+	r.stack = r.stack[:mark]
 }
 
 // owned appends the declarations that bind in the block holding s: its
@@ -265,7 +270,7 @@ func (r *resolver) block(items []cast.Stmt, loop *cast.For) {
 	for _, it := range items {
 		r.stmt(it)
 	}
-	r.stack = r.stack[:mark]
+	r.pop(mark)
 }
 
 // traced resolves the names the traced loop looks up at each entry.
@@ -353,9 +358,4 @@ func (r *resolver) use(id *cast.Ident) {
 	}
 	*ref = r.lookup(id.Name)
 	ref.seen = true
-	for i := range r.res.funcs {
-		if r.res.funcs[i].decl.Name == id.Name {
-			ref.fn = int32(i)
-		}
-	}
 }
