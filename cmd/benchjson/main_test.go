@@ -200,7 +200,6 @@ func TestGateAllocs(t *testing.T) {
 	}
 }
 
-// TestGateRatioAllocs covers the "@allocs" metric selector.
 // TestGateAllocsNeedsEqualN pins that an allocs gate fails, naming both
 // iteration counts, when the run's n differs from its baseline row's.
 func TestGateAllocsNeedsEqualN(t *testing.T) {
@@ -228,6 +227,7 @@ func TestGateAllocsNeedsEqualN(t *testing.T) {
 	}
 }
 
+// TestGateRatioAllocs covers the "@allocs" metric selector.
 func TestGateRatioAllocs(t *testing.T) {
 	run := &Summary{Benchmarks: map[string]Result{
 		"BenchmarkFrontendPipeline":      {N: 3, NsPerOp: 10, AllocsPerOp: 2000},
