@@ -30,26 +30,16 @@ int main() {
 	return files
 }
 
-// withWorkers returns a shallow copy of the shared test engine re-bounded
-// to the given pool size (the model and tools are shared, which is exactly
-// the concurrency guarantee under test).
-func withWorkers(t *testing.T, n int) *Engine {
-	t.Helper()
-	e := *engine(t)
-	e.SetWorkers(n)
-	return &e
-}
-
 // TestAnalyzeFilesDeterministicAcrossWorkers is the race-clean determinism
 // check: the same ≥8-file corpus analyzed with Workers=1 and Workers=8
 // must produce identical reports in identical order.
 func TestAnalyzeFilesDeterministicAcrossWorkers(t *testing.T) {
 	files := corpusFiles(10)
-	serial, err := withWorkers(t, 1).AnalyzeFiles(files)
+	serial, err := engineWith(t, EngineConfig{Workers: 1}).AnalyzeFiles(files)
 	if err != nil {
 		t.Fatal(err)
 	}
-	concurrent, err := withWorkers(t, 8).AnalyzeFiles(files)
+	concurrent, err := engineWith(t, EngineConfig{Workers: 8}).AnalyzeFiles(files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,27 +55,24 @@ func TestAnalyzeFilesDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestAnalyzeFilesMatchesAnalyzeSource pins the batched API to the
-// established per-file one.
+// per-file one, AnalyzeSourceContext.
 func TestAnalyzeFilesMatchesAnalyzeSource(t *testing.T) {
-	e := withWorkers(t, 4)
+	e := engineWith(t, EngineConfig{Workers: 4})
 	files := corpusFiles(4)
 	batch, err := e.AnalyzeFiles(files)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, src := range files {
-		single, err := e.AnalyzeSource(src)
-		if err != nil {
-			t.Fatal(err)
-		}
+		single := analyze(t, e, src)
 		if !reflect.DeepEqual(batch[name], single) {
-			t.Errorf("%s: AnalyzeFiles disagrees with AnalyzeSource", name)
+			t.Errorf("%s: AnalyzeFiles disagrees with AnalyzeSourceContext", name)
 		}
 	}
 }
 
 func TestAnalyzeFilesSurfacesParseErrors(t *testing.T) {
-	e := withWorkers(t, 4)
+	e := engineWith(t, EngineConfig{Workers: 4})
 	files := corpusFiles(3)
 	files["broken.c"] = "int main() { for (i=0 i<10; i++) ; }"
 	out, err := e.AnalyzeFiles(files)
@@ -108,27 +95,17 @@ func TestAnalyzeFilesSurfacesParseErrors(t *testing.T) {
 	}
 }
 
-// cachedEngine returns a copy of the shared test engine with the analysis
-// cache enabled (the model and tools stay shared; the cache is fresh).
-func cachedEngine(t *testing.T, workers, cacheSize int) *Engine {
-	t.Helper()
-	e := *engine(t)
-	e.SetWorkers(workers)
-	e.SetCacheSize(cacheSize)
-	return &e
-}
-
 // TestAnalyzeFilesCachedByteIdentical is the acceptance check for the
 // analysis cache: with caching on, both the cold (miss-filling) pass and
 // the warm (all-hits) pass must be byte-for-byte identical to the
 // uncached engine's output.
 func TestAnalyzeFilesCachedByteIdentical(t *testing.T) {
 	files := corpusFiles(6)
-	plain, err := withWorkers(t, 4).AnalyzeFiles(files)
+	plain, err := engineWith(t, EngineConfig{Workers: 4}).AnalyzeFiles(files)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := cachedEngine(t, 4, 1024)
+	e := engineWith(t, EngineConfig{Workers: 4, CacheSize: 1024})
 	cold, err := e.AnalyzeFiles(files)
 	if err != nil {
 		t.Fatal(err)
@@ -168,17 +145,11 @@ func TestAnalyzeFilesCachedByteIdentical(t *testing.T) {
 // returned reports: mutating a result must not poison later hits.
 func TestAnalyzeSourceCachedMatchesAndSurvivesMutation(t *testing.T) {
 	src := corpusFiles(1)["file_00.c"]
-	plain, err := withWorkers(t, 2).AnalyzeSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := cachedEngine(t, 2, 256)
-	first, err := e.AnalyzeSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := analyze(t, engineWith(t, EngineConfig{Workers: 2}), src)
+	e := engineWith(t, EngineConfig{Workers: 2, CacheSize: 256})
+	first := analyze(t, e, src)
 	if !reflect.DeepEqual(plain, first) {
-		t.Error("cached AnalyzeSource differs from uncached")
+		t.Error("cached AnalyzeSourceContext differs from uncached")
 	}
 	// Vandalize the returned reports, then re-analyze from cache.
 	for i := range first {
@@ -190,66 +161,9 @@ func TestAnalyzeSourceCachedMatchesAndSurvivesMutation(t *testing.T) {
 			first[i].Categories[0] = "tampered"
 		}
 	}
-	again, err := e.AnalyzeSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := analyze(t, e, src)
 	if !reflect.DeepEqual(plain, again) {
 		t.Error("cache entries were corrupted by caller mutation")
-	}
-}
-
-// TestAnalyzeLoopSnippetCacheDisjointFromFiles pins the key design: the
-// same loop text analyzed as a bare snippet (no enclosing file) and as
-// part of a file must not share cache entries — their tool verdicts
-// differ, so cross-hits would serve wrong reports.
-func TestAnalyzeLoopSnippetCacheDisjointFromFiles(t *testing.T) {
-	const loopText = "for (i = 0; i < 64; i++) s += a[i];"
-	e := cachedEngine(t, 2, 256)
-	snippet, err := e.AnalyzeLoop(loopText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := e.AnalyzeLoop(loopText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(snippet, again) {
-		t.Error("snippet analysis not deterministic through the cache")
-	}
-	st, _ := e.CacheStats()
-	if st.Hits == 0 {
-		t.Error("repeated snippet should hit the cache")
-	}
-	for _, tv := range snippet.Tools {
-		if tv.Tool == "DiscoPoP" && tv.Processable {
-			t.Error("snippet verdicts must stay snippet verdicts (no file context)")
-		}
-	}
-
-	// Now analyze the very same loop text inside a full translation unit
-	// on the same cached engine. If the snippet and file key spaces
-	// overlapped, the cached snippet report (DiscoPoP: cannot process)
-	// would be served here; with file context DiscoPoP must process it.
-	src := "int main() {\n    int a[64];\n    int i, s = 0;\n    for (i = 0; i < 64; i++) a[i] = i;\n    " +
-		loopText + "\n    return s;\n}\n"
-	reports, err := e.AnalyzeSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var inFile *LoopReport
-	for i := range reports {
-		if strings.Contains(reports[i].Source, "s += a[i]") {
-			inFile = &reports[i]
-		}
-	}
-	if inFile == nil {
-		t.Fatal("reduction loop not found in file reports")
-	}
-	for _, tv := range inFile.Tools {
-		if tv.Tool == "DiscoPoP" && !tv.Processable {
-			t.Error("file-context analysis was served the snippet's cache entry (DiscoPoP should process with a file)")
-		}
 	}
 }
 
@@ -268,19 +182,10 @@ int main() {
     return s;
 }
 `
-	plain, err := withWorkers(t, 1).AnalyzeSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := cachedEngine(t, 1, 256)
-	cold, err := e.AnalyzeSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := e.AnalyzeSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := analyze(t, engineWith(t, EngineConfig{Workers: 1}), src)
+	e := engineWith(t, EngineConfig{Workers: 1, CacheSize: 256})
+	cold := analyze(t, e, src)
+	warm := analyze(t, e, src)
 	if !reflect.DeepEqual(plain, cold) || !reflect.DeepEqual(plain, warm) {
 		t.Error("cached analysis of same-line identical loops differs from uncached")
 	}
@@ -295,11 +200,11 @@ int main() {
 // integration-level concurrency check.
 func TestAnalyzeFilesCachedDeterministicAcrossWorkers(t *testing.T) {
 	files := corpusFiles(8)
-	serial, err := withWorkers(t, 1).AnalyzeFiles(files)
+	serial, err := engineWith(t, EngineConfig{Workers: 1}).AnalyzeFiles(files)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := cachedEngine(t, 8, 2048)
+	e := engineWith(t, EngineConfig{Workers: 8, CacheSize: 2048})
 	for pass := 0; pass < 3; pass++ {
 		got, err := e.AnalyzeFiles(files)
 		if err != nil {
@@ -320,7 +225,7 @@ const corpusLoops = 5
 // It is the reference the batched runs are checked against.
 func analyzePerGraph(t *testing.T, files map[string]string) map[string][]LoopReport {
 	t.Helper()
-	e := withWorkers(t, len(files)*corpusLoops)
+	e := engineWith(t, EngineConfig{Workers: len(files) * corpusLoops})
 	out, err := e.AnalyzeFiles(files)
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +251,7 @@ func TestAnalyzeFilesBatchedByteIdentical(t *testing.T) {
 	files := corpusFiles(8)
 	perGraph := analyzePerGraph(t, files)
 	for _, workers := range []int{1, 2, 3, 8} {
-		got, err := withWorkers(t, workers).AnalyzeFiles(files)
+		got, err := engineWith(t, EngineConfig{Workers: workers}).AnalyzeFiles(files)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,19 +266,13 @@ func TestAnalyzeFilesBatchedByteIdentical(t *testing.T) {
 func TestAnalyzeSourceBatchedMatchesUnbatched(t *testing.T) {
 	src := corpusFiles(1)["file_00.c"]
 	// One worker per loop: one graph per forward pass.
-	unbatched, err := withWorkers(t, corpusLoops).AnalyzeSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	unbatched := analyze(t, engineWith(t, EngineConfig{Workers: corpusLoops}), src)
 	if len(unbatched) != corpusLoops {
 		t.Fatalf("loops = %d, want %d", len(unbatched), corpusLoops)
 	}
-	batched, err := withWorkers(t, 2).AnalyzeSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batched := analyze(t, engineWith(t, EngineConfig{Workers: 2}), src)
 	if !reflect.DeepEqual(unbatched, batched) {
-		t.Error("batched AnalyzeSource differs from one graph per forward pass")
+		t.Error("batched AnalyzeSourceContext differs from one graph per forward pass")
 	}
 }
 
@@ -386,7 +285,7 @@ func TestAnalyzeSourceBatchedMatchesUnbatched(t *testing.T) {
 func TestAnalyzeFilesBatchedCachedByteIdentical(t *testing.T) {
 	files := corpusFiles(6)
 	plain := analyzePerGraph(t, files)
-	e := cachedEngine(t, 4, 1024)
+	e := engineWith(t, EngineConfig{Workers: 4, CacheSize: 1024})
 	cold, err := e.AnalyzeFiles(files)
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +322,7 @@ func TestAnalyzeFilesBatchedCachedByteIdentical(t *testing.T) {
 func TestAnalyzeFilesBatchedDeterministicAcrossWorkers(t *testing.T) {
 	files := corpusFiles(8)
 	perGraph := analyzePerGraph(t, files)
-	e := withWorkers(t, 8)
+	e := engineWith(t, EngineConfig{Workers: 8})
 	for pass := 0; pass < 2; pass++ {
 		got, err := e.AnalyzeFiles(files)
 		if err != nil {
@@ -436,7 +335,7 @@ func TestAnalyzeFilesBatchedDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestAnalyzeFilesEmptyInput(t *testing.T) {
-	out, err := withWorkers(t, 4).AnalyzeFiles(nil)
+	out, err := engineWith(t, EngineConfig{Workers: 4}).AnalyzeFiles(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

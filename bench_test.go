@@ -22,9 +22,8 @@ var (
 	benchSuite     *experiments.Suite
 	benchSuiteOnce sync.Once
 
-	benchEngine     *Engine
-	benchEngineOnce sync.Once
-	benchEngineErr  error
+	benchModel   = &fixture{seed: 9}
+	benchEngines = map[EngineConfig]*Engine{}
 )
 
 // suite returns the shared benchmark suite (small scale: the shapes of the
@@ -205,18 +204,18 @@ func BenchmarkHGTForward(b *testing.B) {
 	}
 }
 
-// analysisEngine returns a shared quickly-trained engine for the
-// AnalyzeFiles benchmarks (training cost must stay out of the timed loop).
-func analysisEngine(b *testing.B) *Engine {
-	benchEngineOnce.Do(func() {
-		benchEngine, benchEngineErr = NewEngine(EngineConfig{
-			TrainScale: 0.01, Epochs: 3, Seed: 9, Quiet: true,
-		})
-	})
-	if benchEngineErr != nil {
-		b.Fatal(benchEngineErr)
+// analysisEngine returns the benchmark engine for cfg, built once per
+// configuration from the shared benchmark checkpoint (training cost must
+// stay out of the timed loop). The testing package calls a benchmark
+// function more than once; keeping its engine across those calls keeps
+// the engine's scratch pool warm from the first, like a serving engine's.
+func analysisEngine(b *testing.B, cfg EngineConfig) *Engine {
+	if e, ok := benchEngines[cfg]; ok {
+		return e
 	}
-	return benchEngine
+	e := benchModel.build(b, cfg)
+	benchEngines[cfg] = e
+	return e
 }
 
 // benchCorpusSize is the corpus the AnalyzeFiles benchmark family shares:
@@ -228,8 +227,7 @@ const benchCorpusSize = 32
 // aug-AST build, batched HGT inference, tool cross-checks — over the
 // shared 32-file corpus with the given worker-pool bound.
 func benchmarkAnalyzeFiles(b *testing.B, workers int) {
-	e := *analysisEngine(b)
-	e.SetWorkers(workers)
+	e := analysisEngine(b, EngineConfig{Workers: workers})
 	files := corpusFiles(benchCorpusSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -258,9 +256,7 @@ func BenchmarkAnalyzeFilesBatched(b *testing.B) {
 // the repeat-query hot path of a long-running graph2serve instance. The
 // ratio to BenchmarkAnalyzeFilesSerial is the measured cache win.
 func BenchmarkAnalyzeFilesCached(b *testing.B) {
-	e := *analysisEngine(b)
-	e.SetWorkers(1)
-	e.SetCacheSize(1 << 14)
+	e := analysisEngine(b, EngineConfig{Workers: 1, CacheSize: 1 << 14})
 	files := corpusFiles(benchCorpusSize)
 	if _, err := e.AnalyzeFiles(files); err != nil { // warm the cache
 		b.Fatal(err)
@@ -288,9 +284,7 @@ func BenchmarkAnalyzeFilesCached(b *testing.B) {
 // gating, dynamic validation and the splice) on top of plain analysis.
 // CI pins that ratio with a within-run benchjson gate.
 func BenchmarkRewriteFile(b *testing.B) {
-	e := *analysisEngine(b)
-	e.SetWorkers(1)
-	e.SetRewrite(true)
+	e := analysisEngine(b, EngineConfig{Workers: 1, Rewrite: true})
 	files := corpusFiles(benchCorpusSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -21,6 +21,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -118,7 +119,7 @@ func chaosRun(cfg chaosConfig) int {
 	reference := make([]string, cfg.corpusSize)
 	for i := range corpus {
 		corpus[i] = syntheticSource(uint64(i), cfg.work)
-		reports, err := trainer.AnalyzeSource(corpus[i])
+		reports, err := trainer.AnalyzeSourceContext(context.Background(), corpus[i])
 		if err != nil {
 			return fail(fmt.Errorf("reference analysis of file %d: %w", i, err))
 		}

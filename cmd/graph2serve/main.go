@@ -22,9 +22,11 @@
 //	POST /v1/cache/<key>    replica cache-peer protocol, push side (replication warming)
 //
 // Scale-out: starting each replica of a fleet with the same checkpoint
-// (-model), its own -self URL and the other replicas under -peers turns
-// the per-process analysis caches into a shared, fault-tolerant tier —
-// a local miss asks each of the key's live owning replicas once
+// (-model), the same -verify and -rewrite flags (the cache keys name the
+// enabled stages, so replicas that differ share nothing), its own -self
+// URL and the other replicas under -peers turns the per-process analysis
+// caches into a shared, fault-tolerant tier — a local miss asks each of
+// the key's live owning replicas once
 // (rendezvous hashing over the live fleet) before recomputing, locally
 // computed reports replicate to the key's other owners, and one health
 // state machine per peer, fed by probes and by real exchanges, takes a
@@ -66,7 +68,7 @@ func main() {
 	retryAfter := flag.Duration("retry-after", 0, "Retry-After hint on shed responses (0 = 1s default)")
 	rate := flag.Float64("rate", 0, "per-client rate limit in requests/second, keyed on client id (0 disables)")
 	burst := flag.Float64("burst", 0, "per-client burst allowance for -rate (0 = same as -rate)")
-	peers := flag.String("peers", "", "comma-separated base URLs of the other replicas; local cache misses ask the key's owning replica before recomputing (requires -self)")
+	peers := flag.String("peers", "", "comma-separated base URLs of the other replicas; local cache misses ask the key's owning replica before recomputing (requires -self; peers share entries only with the same model and the same -verify and -rewrite)")
 	self := flag.String("self", "", "this replica's own advertised base URL, as the peers list it (required with -peers)")
 	peerTimeout := flag.Duration("peer-timeout", 0, "per-exchange timeout for peer cache fills (0 = 500ms default)")
 	probeInterval := flag.Duration("probe-interval", 0, "peer health-probe period; down peers leave the ownership ring until they re-pass two probes, so probing cannot be disabled (0 = 1s default)")
@@ -144,7 +146,7 @@ func main() {
 		engine.SetCacheWarmer(peerClient.Warm)
 		cfg.PeerStats = peerClient.Stats
 		if *modelPath == "" {
-			fmt.Println("graph2serve: note: -peers without -model — peers only share cache entries when their fingerprints match (same -scale/-epochs/-seed, or a shared checkpoint)")
+			fmt.Println("graph2serve: note: -peers without -model — peers only share cache entries when their fingerprints match (same -scale/-epochs/-seed, or a shared checkpoint, and the same -verify and -rewrite)")
 		}
 		rep := *replication
 		if rep == 0 {

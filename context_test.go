@@ -13,19 +13,7 @@ import (
 // identical reports, identical errors — so serving code can route
 // everything through them without a behavior fork.
 func TestContextVariantsMatchPlainCalls(t *testing.T) {
-	e := engine(t)
-	plain, err := e.AnalyzeSource(simpleProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxed, err := e.AnalyzeSourceContext(context.Background(), simpleProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, ctxed) {
-		t.Error("AnalyzeSourceContext(Background) differs from AnalyzeSource")
-	}
-
+	e := engineWith(t, EngineConfig{Rewrite: true})
 	files := map[string]string{"a.c": simpleProgram}
 	plainF, err := e.AnalyzeFiles(files)
 	if err != nil {
@@ -37,6 +25,18 @@ func TestContextVariantsMatchPlainCalls(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plainF, ctxedF) {
 		t.Error("AnalyzeFilesContext(Background) differs from AnalyzeFiles")
+	}
+
+	plainR, err := e.RewriteSource(simpleProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctxedR, err := e.RewriteSourceContext(context.Background(), simpleProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plainR, ctxedR) {
+		t.Error("RewriteSourceContext(Background) differs from RewriteSource")
 	}
 }
 
@@ -86,9 +86,7 @@ func TestAnalyzeFilesContextCanceled(t *testing.T) {
 // analysis stage's cancellation; a dead context yields its error before
 // any splicing.
 func TestRewriteSourceContextCanceled(t *testing.T) {
-	e := engine(t)
-	e.SetRewrite(true)
-	defer e.SetRewrite(false)
+	e := engineWith(t, EngineConfig{Rewrite: true})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := e.RewriteSourceContext(ctx, simpleProgram)

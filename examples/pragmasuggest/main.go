@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -60,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	reports, err := engine.AnalyzeSource(kernelFile)
+	reports, err := engine.AnalyzeSourceContext(context.Background(), kernelFile)
 	if err != nil {
 		log.Fatal(err)
 	}

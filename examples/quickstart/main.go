@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	reports, err := engine.AnalyzeSource(listing1Program)
+	reports, err := engine.AnalyzeSourceContext(context.Background(), listing1Program)
 	if err != nil {
 		log.Fatal(err)
 	}

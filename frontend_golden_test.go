@@ -1,6 +1,7 @@
 package graph2par
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -31,39 +32,20 @@ func TestScratchReuseByteIdentical(t *testing.T) {
 		}
 	}
 
-	// Per-file and per-loop entry points share the same pool.
-	srcReports, err := e.AnalyzeSource(simpleProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The per-file entry point shares the same pool.
+	srcReports := analyze(t, e, simpleProgram)
 	for round := 0; round < 3; round++ {
-		again, err := e.AnalyzeSource(simpleProgram)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(srcReports, again) {
-			t.Fatalf("AnalyzeSource round %d diverged", round)
-		}
-	}
-	loopReport, err := e.AnalyzeLoop("for (i = 0; i < n; i++) s += a[i];")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 3; round++ {
-		again, err := e.AnalyzeLoop("for (i = 0; i < n; i++) s += a[i];")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(loopReport, again) {
-			t.Fatalf("AnalyzeLoop round %d diverged", round)
+		if again := analyze(t, e, simpleProgram); !reflect.DeepEqual(srcReports, again) {
+			t.Fatalf("AnalyzeSourceContext round %d diverged", round)
 		}
 	}
 }
 
 // TestScratchReuseConcurrent hammers the pool from concurrent AnalyzeFiles
-// and AnalyzeSource calls (the serving profile: many requests sharing one
-// warm engine). Run under -race this is the scratch-safety gate; the
-// result equality doubles as a cross-goroutine determinism check.
+// and AnalyzeSourceContext calls (the serving profile: many requests
+// sharing one warm engine). Run under -race this is the scratch-safety
+// gate; the result equality doubles as a cross-goroutine determinism
+// check.
 func TestScratchReuseConcurrent(t *testing.T) {
 	e := engine(t)
 	files := corpusFiles(6)
@@ -71,10 +53,7 @@ func TestScratchReuseConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSrc, err := e.AnalyzeSource(simpleProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantSrc := analyze(t, e, simpleProgram)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
@@ -94,13 +73,13 @@ func TestScratchReuseConcurrent(t *testing.T) {
 						return
 					}
 				} else {
-					got, err := e.AnalyzeSource(simpleProgram)
+					got, err := e.AnalyzeSourceContext(context.Background(), simpleProgram)
 					if err != nil {
 						errs <- err
 						return
 					}
 					if !reflect.DeepEqual(wantSrc, got) {
-						t.Errorf("goroutine %d round %d: AnalyzeSource diverged", g, round)
+						t.Errorf("goroutine %d round %d: AnalyzeSourceContext diverged", g, round)
 						return
 					}
 				}

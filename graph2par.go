@@ -11,7 +11,7 @@
 // A quick start:
 //
 //	engine, err := graph2par.NewEngine(graph2par.EngineConfig{})
-//	reports, err := engine.AnalyzeSource(src)
+//	reports, err := engine.AnalyzeSourceContext(ctx, src)
 //	for _, r := range reports {
 //	    fmt.Println(r.Line, r.Parallel, r.Suggestion)
 //	}
@@ -45,7 +45,10 @@ import (
 	"graph2par/internal/verify"
 )
 
-// EngineConfig controls engine construction.
+// EngineConfig controls engine construction. It is the only way to set
+// an engine's stages, worker count and cache: an Engine keeps them for
+// its lifetime, so the fingerprint in every cache key names exactly the
+// stages whose output a cached report carries.
 type EngineConfig struct {
 	// ModelPath loads a trained checkpoint instead of training.
 	ModelPath string
@@ -58,9 +61,9 @@ type EngineConfig struct {
 	Epochs int
 	// Quiet suppresses the training progress line.
 	Quiet bool
-	// Workers bounds the worker pool used by AnalyzeSource, AnalyzeFiles
-	// and the graph-preparation sweep of from-scratch training. Values
-	// < 1 mean runtime.GOMAXPROCS(0).
+	// Workers bounds the worker pool used by the Analyze* methods and the
+	// graph-preparation sweep of from-scratch training. Values < 1 mean
+	// runtime.GOMAXPROCS(0).
 	Workers int
 	// TrainWorkers bounds the data-parallel gradient workers of
 	// from-scratch training (< 1 → GOMAXPROCS). Training is bit-identical
@@ -70,17 +73,18 @@ type EngineConfig struct {
 	TrainWorkers int
 	// CacheSize enables the content-addressed analysis cache: up to this
 	// many loop reports are kept in a sharded LRU keyed by the loop's
-	// normalized source, its translation-unit content, the graph options
-	// and the model fingerprint, so re-analyzing identical input skips
-	// the aug-AST build, HGT inference and tool cross-checks entirely
-	// while staying byte-for-byte identical to an uncached run. 0 (the
-	// zero value) disables caching.
+	// normalized source, its translation-unit content and the engine
+	// fingerprint (model, graph options and enabled stages), so
+	// re-analyzing identical input skips the aug-AST build, HGT inference
+	// and tool cross-checks entirely while staying byte-for-byte identical
+	// to an uncached run. 0 (the zero value) disables caching.
 	CacheSize int
 	// Verify enables the post-inference static verification stage: every
 	// suggested pragma is re-checked by internal/verify's flow-sensitive
 	// analyses and the verdict (safe / unknown / unsafe, with reasons and
 	// positions) is attached to the report — and cached alongside it, since
-	// the content-addressed key already fingerprints every verdict input.
+	// the content-addressed key fingerprints every verdict input and the
+	// stage itself.
 	Verify bool
 	// Rewrite enables the source-to-source output stage: every loop the
 	// model predicts parallel gets a rewrite plan — derived clause lists
@@ -105,7 +109,8 @@ const DefaultBatchSize = 16
 // Once constructed, an Engine is safe for concurrent use: analysis only
 // reads the trained model, the vocabulary and the (stateless) comparator
 // tools. See hgt.Model.Predict and auggraph.Vocab.Encode for the
-// underlying guarantees.
+// underlying guarantees. An Engine holds its counters and scratch pool by
+// value and must not be copied; go vet's copylocks check rejects a copy.
 type Engine struct {
 	model   *hgt.Model
 	vocab   *auggraph.Vocab
@@ -115,8 +120,9 @@ type Engine struct {
 
 	// cache is the optional content-addressed report cache (nil when
 	// disabled); fingerprint identifies the loaded weights + vocabulary +
-	// graph options and is folded into every cache key, so a cache can
-	// never serve results computed by a different model.
+	// graph options + enabled stages and is folded into every cache key,
+	// so a cache can never serve results computed by a different model or
+	// stage set.
 	cache       *cache.Cache[LoopReport]
 	fingerprint string
 
@@ -125,9 +131,9 @@ type Engine struct {
 	// so a miss on this replica can be served from the owning replica's
 	// cache. A successful fill is stored locally and is required to be
 	// byte-identical to a local recompute (the content-addressed key
-	// covers every analysis input, including the model fingerprint, so
-	// only a same-model replica can ever answer). Nil when no peer tier
-	// is configured; only consulted when the cache is enabled.
+	// covers every analysis input, including the fingerprint, so only a
+	// replica with the same model and stages can ever answer). Nil when no
+	// peer tier is configured; only consulted when the cache is enabled.
 	fill CacheFiller
 
 	// warmHook, when set, is told about every locally computed report the
@@ -140,16 +146,14 @@ type Engine struct {
 	warmHook CacheWarmer
 
 	// verify gates the static pragma-safety stage; vstats counts issued
-	// verdicts per level. The counters are held by pointer for the same
-	// reason fe is: benchmarks copy an Engine to retune knobs, and a copied
-	// atomic counter would silently fork the tally.
+	// verdicts per level.
 	verify bool
-	vstats *verifyStats
+	vstats verifyStats
 
 	// rewrite gates the source-to-source output stage; rstats counts
-	// issued rewrite plans per status (same pointer rationale as vstats).
+	// issued rewrite plans per status.
 	rewrite bool
-	rstats  *rewriteStats
+	rstats  rewriteStats
 
 	// fe recycles per-worker front-end scratches (token buffers, AST
 	// slabs, graph and encoding storage, symbol tables) across Analyze*
@@ -157,10 +161,8 @@ type Engine struct {
 	// it actually uses, builds every AST and aug-AST of the request in
 	// them, and returns them — reset — when the last report string has
 	// been assembled. Outputs never reference scratch memory, so
-	// recycling cannot change a byte. The pool is held by pointer so
-	// copies of an Engine (the benchmarks copy one to retune knobs)
-	// share one coherent pool instead of aliasing a mutex and free list.
-	fe *frontend.Pool
+	// recycling cannot change a byte.
+	fe frontend.Pool
 }
 
 // ToolVerdict is one comparator tool's opinion on a loop.
@@ -209,21 +211,29 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	e := &Engine{
 		tools:   []tools.Tool{autopar.New(), pluto.New(), discopop.New()},
 		workers: parallel.Workers(cfg.Workers),
-		fe:      &frontend.Pool{},
 		verify:  cfg.Verify,
-		vstats:  &verifyStats{},
 		rewrite: cfg.Rewrite,
-		rstats:  &rewriteStats{},
 	}
 	if cfg.ModelPath != "" {
-		model, vocab, gopts, err := train.LoadCheckpoint(cfg.ModelPath)
-		if err != nil {
+		var err error
+		if e.model, e.vocab, e.gopts, err = train.LoadCheckpoint(cfg.ModelPath); err != nil {
 			return nil, fmt.Errorf("graph2par: loading model: %w", err)
 		}
-		e.model, e.vocab, e.gopts = model, vocab, gopts
-		e.SetCacheSize(cfg.CacheSize)
-		return e, nil
+	} else {
+		e.model, e.vocab, e.gopts = trainModel(cfg)
 	}
+	// The fingerprint hashes every weight, so only an engine with a cache
+	// to key pays for it.
+	if cfg.CacheSize > 0 {
+		e.cache = cache.New[LoopReport](cfg.CacheSize)
+		e.fingerprint = e.computeFingerprint()
+	}
+	return e, nil
+}
+
+// trainModel trains the from-scratch model NewEngine uses without a
+// ModelPath.
+func trainModel(cfg EngineConfig) (*hgt.Model, *auggraph.Vocab, auggraph.Options) {
 	if cfg.TrainScale <= 0 {
 		cfg.TrainScale = 0.02
 	}
@@ -242,11 +252,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	opts.Seed = cfg.Seed
 	opts.Workers = cfg.TrainWorkers
 	set := train.PrepareGraphsN(cfg.Workers, corpus.Samples, opts.Graph, nil, train.ParallelLabel)
-	e.model = train.TrainHGT(set, opts)
-	e.vocab = set.Vocab
-	e.gopts = opts.Graph
-	e.SetCacheSize(cfg.CacheSize)
-	return e, nil
+	return train.TrainHGT(set, opts), set.Vocab, opts.Graph
 }
 
 // Save writes the engine's model to a checkpoint file.
@@ -254,26 +260,8 @@ func (e *Engine) Save(path string) error {
 	return train.SaveCheckpoint(path, e.model, e.vocab, e.gopts)
 }
 
-// SetWorkers re-bounds the analysis worker pool (values < 1 mean
-// runtime.GOMAXPROCS(0)). It must not be called concurrently with
-// Analyze* methods.
-func (e *Engine) SetWorkers(n int) { e.workers = parallel.Workers(n) }
-
-// Workers returns the current analysis worker-pool bound.
+// Workers returns the analysis worker-pool bound.
 func (e *Engine) Workers() int { return e.workers }
-
-// SetCacheSize replaces the analysis cache with a fresh one of the given
-// entry capacity (≤ 0 disables caching). The model fingerprint is
-// computed here, once, from the weights, vocabulary and graph options. It
-// must not be called concurrently with Analyze* methods.
-func (e *Engine) SetCacheSize(n int) {
-	if n <= 0 {
-		e.cache = nil
-		return
-	}
-	e.cache = cache.New[LoopReport](n)
-	e.fingerprint = modelFingerprint(e.model, e.vocab, e.gopts)
-}
 
 // CacheStats returns a snapshot of the analysis-cache counters; ok is
 // false when caching is disabled.
@@ -317,9 +305,9 @@ func (e *Engine) SetCacheWarmer(f CacheWarmer) { e.warmHook = f }
 // InstallCached stores a peer-pushed report under its content-addressed
 // key — the write side of the POST /v1/cache/<key> warming protocol.
 // The caller (internal/serve) is responsible for authenticating that
-// the pusher serves the same model fingerprint; the key itself embeds
-// the fingerprint too, so a mis-pushed entry could never be served to a
-// different model's lookup, only waste a cache slot. Returns false when
+// the pusher serves the same fingerprint; the key itself embeds the
+// fingerprint too, so a mis-pushed entry could never be served to a
+// lookup by a different model or stage set, only waste a cache slot. Returns false when
 // caching is disabled.
 func (e *Engine) InstallCached(key string, r LoopReport) bool {
 	if e.cache == nil {
@@ -345,9 +333,10 @@ func (e *Engine) PeekCached(key string) (LoopReport, bool) {
 	return cloneReport(r), true
 }
 
-// Fingerprint returns the model fingerprint folded into every cache key
-// ("" until SetCacheSize computes it). Replicas exchange it at peer-fill
-// setup to assert they serve the same model.
+// Fingerprint returns the fingerprint folded into every cache key: a
+// hash of the model, its graph options and the enabled stages ("" when
+// caching is disabled). Replicas exchange it at peer-fill setup to
+// assert they serve the same model with the same stages.
 func (e *Engine) Fingerprint() string { return e.fingerprint }
 
 // verifyStats tallies issued verdicts per lattice level. Counters are
@@ -376,13 +365,6 @@ type VerifyStats struct {
 	Unsafe  uint64
 }
 
-// SetVerify toggles the static verification stage. It must not be called
-// concurrently with Analyze* methods. Note that with caching enabled a
-// report computed while verification was off (and therefore carrying no
-// verdict) can be served from the cache afterwards; flip the stage before
-// the first request, or call SetCacheSize to drop stale entries.
-func (e *Engine) SetVerify(on bool) { e.verify = on }
-
 // rewriteStats tallies issued rewrite plans per status. Counters are
 // atomic because finishLoop runs concurrently across the worker pool.
 type rewriteStats struct {
@@ -409,11 +391,6 @@ type RewriteStats struct {
 	Atomic     uint64
 	Suggestion uint64
 }
-
-// SetRewrite toggles the source-to-source rewrite stage. It must not be
-// called concurrently with Analyze* methods; the cache-staleness caveat on
-// SetVerify applies to rewrite plans the same way.
-func (e *Engine) SetRewrite(on bool) { e.rewrite = on }
 
 // RewriteEnabled reports whether loops get source-to-source rewrite plans.
 func (e *Engine) RewriteEnabled() bool { return e.rewrite }
@@ -447,13 +424,16 @@ func (e *Engine) VerifyStats() (st VerifyStats, ok bool) {
 	}, true
 }
 
-// modelFingerprint hashes everything the analysis result depends on
-// besides the input source: hyperparameters, every weight matrix, the
-// vocabulary tables and the graph options. Folding it into each cache key
-// makes invalidation structural — a different (retrained, reloaded,
-// differently configured) model can never hit entries of another.
-func modelFingerprint(m *hgt.Model, v *auggraph.Vocab, gopts auggraph.Options) string {
+// computeFingerprint hashes everything a report depends on besides the
+// input source: the model's hyperparameters, every weight matrix, the
+// vocabulary tables and the graph options, then one token per enabled
+// stage. Folding it into each cache key makes invalidation structural —
+// a different (retrained, reloaded, differently configured) model, or
+// the same model with a different stage set, can never hit entries of
+// another. An engine with no stage enabled hashes the model alone.
+func (e *Engine) computeFingerprint() string {
 	h := sha256.New()
+	m, gopts := e.model, e.gopts
 	fmt.Fprintf(h, "cfg:%+v|graph:%t%t%t%t|", m.Cfg, gopts.CFG, gopts.Lexical, gopts.Reverse, gopts.Normalize)
 	buf := make([]byte, 8)
 	for _, p := range m.Params.All() {
@@ -463,35 +443,28 @@ func modelFingerprint(m *hgt.Model, v *auggraph.Vocab, gopts auggraph.Options) s
 			h.Write(buf)
 		}
 	}
-	for _, table := range [][]string{v.KindNames(), v.AttrNames(), v.TypeNames()} {
+	for _, table := range [][]string{e.vocab.KindNames(), e.vocab.AttrNames(), e.vocab.TypeNames()} {
 		for _, s := range table {
 			h.Write([]byte(s))
 			h.Write([]byte{0})
 		}
 		h.Write([]byte{1})
 	}
+	if e.verify {
+		h.Write([]byte("stage:verify|"))
+	}
+	if e.rewrite {
+		h.Write([]byte("stage:rewrite|"))
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// sourceCacheKey condenses one translation unit's content for cache-key
-// purposes. The "file:" prefix keeps it disjoint from the no-context
-// marker used by AnalyzeLoop snippets.
-func sourceCacheKey(src string) string {
-	sum := sha256.Sum256([]byte(src))
-	return "file:" + hex.EncodeToString(sum[:])
-}
-
-// snippetCacheKey marks loops analyzed without an enclosing file: their
-// tool verdicts differ from the with-file case, so the two must never
-// share cache entries.
-const snippetCacheKey = "snippet"
-
-// loopCacheKey derives the content-addressed key for one loop: model
-// fingerprint (which covers graph options) + translation-unit content +
-// source position + normalized loop source. The byte offset (not just the
-// line) disambiguates textually identical loops whose dynamic tool
-// verdicts could differ with program point — including two identical
-// sibling loops sharing one source line.
+// loopCacheKey derives the content-addressed key for one loop: engine
+// fingerprint (which covers graph options and stages) + translation-unit
+// content + source position + normalized loop source. The byte offset
+// (not just the line) disambiguates textually identical loops whose
+// dynamic tool verdicts could differ with program point — including two
+// identical sibling loops sharing one source line.
 func (e *Engine) loopCacheKey(loop cast.Stmt, fileKey string) string {
 	h := sha256.New()
 	pos := loop.Pos()
@@ -557,39 +530,33 @@ func (e *Engine) stageWorkers(items int) int {
 	return w
 }
 
-// AnalyzeSource parses a C translation unit and reports on every loop.
-// Loops are analyzed concurrently over the engine's worker pool; the
-// returned reports are sorted by source line regardless of worker count,
-// so results are identical to a serial run.
-func (e *Engine) AnalyzeSource(src string) ([]LoopReport, error) {
-	return e.AnalyzeSourceContext(context.Background(), src)
-}
-
-// AnalyzeSourceContext is AnalyzeSource with cooperative cancellation:
-// the pipeline checks ctx between stages and between loops, so a caller
-// whose deadline has passed (or whose client hung up) stops burning CPU
-// at the next stage boundary instead of completing the whole analysis.
-// On cancellation it returns ctx's error and no reports; an individual
-// forward pass or tool run is never interrupted mid-flight, so partial
-// results already computed still land in the cache for the next caller.
+// AnalyzeSourceContext parses a C translation unit and reports on every
+// loop. Loops are analyzed concurrently over the engine's worker pool;
+// the returned reports are sorted by source line regardless of worker
+// count, so results are identical to a serial run.
+//
+// Cancellation is cooperative: the pipeline checks ctx between stages and
+// between loops, so a caller whose deadline has passed (or whose client
+// hung up) stops burning CPU at the next stage boundary instead of
+// completing the whole analysis. On cancellation it returns ctx's error
+// and no reports; an individual forward pass or tool run is never
+// interrupted mid-flight, so partial results already computed still land
+// in the cache for the next caller.
 func (e *Engine) AnalyzeSourceContext(ctx context.Context, src string) ([]LoopReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ss := &scratchSet{pool: e.fe}
+	ss := &scratchSet{pool: &e.fe}
 	defer ss.release()
 	file, err := ss.ensure(1)[0].Parse.ParseFile(src)
 	if err != nil {
 		return nil, err
 	}
-	fileKey := ""
-	if e.cache != nil {
-		fileKey = sourceCacheKey(src)
-	}
-	reports := e.analyzeFileLoops(ctx, file, fileKey, ss)
+	reports := e.analyzeJobs(ctx, e.fileJobs(file, src), ss)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	sort.SliceStable(reports, func(i, j int) bool { return reports[i].Line < reports[j].Line })
 	return reports, nil
 }
 
@@ -606,7 +573,7 @@ type RewriteResult struct {
 // RewriteSource analyzes a translation unit with the model in the loop —
 // only loops predicted parallel get rewrite plans — and splices the
 // accepted plans into the source. Requires the rewrite stage (see
-// EngineConfig.Rewrite / SetRewrite).
+// EngineConfig.Rewrite).
 func (e *Engine) RewriteSource(src string) (*RewriteResult, error) {
 	return e.RewriteSourceContext(context.Background(), src)
 }
@@ -646,8 +613,15 @@ func SpliceRewrites(src string, reports []LoopReport) (*RewriteResult, error) {
 }
 
 // fileJobs lists a parsed file's loops as analysis jobs sharing one
-// defined-function map: the front half of AnalyzeSource and AnalyzeFiles.
-func fileJobs(file *cast.File, fileKey string) []loopJob {
+// defined-function map and, with the cache on, one hash of the file's
+// source for their keys: the front half of AnalyzeSourceContext and
+// AnalyzeFilesContext.
+func (e *Engine) fileJobs(file *cast.File, src string) []loopJob {
+	fileKey := ""
+	if e.cache != nil {
+		sum := sha256.Sum256([]byte(src))
+		fileKey = hex.EncodeToString(sum[:])
+	}
 	funcs := file.DefinedFuncs()
 	loops := file.Loops()
 	jobs := make([]loopJob, len(loops))
@@ -655,14 +629,6 @@ func fileJobs(file *cast.File, fileKey string) []loopJob {
 		jobs[i] = loopJob{loop: l.Loop, file: file, funcs: funcs, fileKey: fileKey}
 	}
 	return jobs
-}
-
-// analyzeFileLoops fans loop analysis of one parsed file out over the
-// worker pool, preserving line-sorted output.
-func (e *Engine) analyzeFileLoops(ctx context.Context, file *cast.File, fileKey string, ss *scratchSet) []LoopReport {
-	reports := e.analyzeJobs(ctx, fileJobs(file, fileKey), ss)
-	sort.SliceStable(reports, func(i, j int) bool { return reports[i].Line < reports[j].Line })
-	return reports
 }
 
 // loopJob bundles one loop with the file context its analysis needs.
@@ -809,7 +775,8 @@ func (e *Engine) peerFill(key string) (LoopReport, bool) {
 // in one batched pass: parsing, aug-AST construction, HGT inference and
 // the tool cross-checks are pipelined across files and loops over the
 // engine's worker pool. The result maps each file name to its line-sorted
-// reports — byte-for-byte identical to calling AnalyzeSource per file.
+// reports — byte-for-byte identical to calling AnalyzeSourceContext per
+// file.
 //
 // Files that fail to parse are omitted from the result; their errors are
 // combined (in file-name order, so the message is deterministic) into the
@@ -834,7 +801,7 @@ func (e *Engine) AnalyzeFilesContext(ctx context.Context, sources map[string]str
 	// Stage 1: parse every file concurrently into per-worker scratch
 	// sessions; the ASTs live until the deferred scratch release below,
 	// past the last stage that reads them.
-	ss := &scratchSet{pool: e.fe}
+	ss := &scratchSet{pool: &e.fe}
 	defer ss.release()
 	scrs := ss.ensure(e.stageWorkers(len(names)))
 	files := make([]*cast.File, len(names))
@@ -857,11 +824,7 @@ func (e *Engine) AnalyzeFilesContext(ctx context.Context, sources map[string]str
 		if file == nil {
 			continue
 		}
-		fileKey := ""
-		if e.cache != nil {
-			fileKey = sourceCacheKey(sources[names[i]])
-		}
-		for _, job := range fileJobs(file, fileKey) {
+		for _, job := range e.fileJobs(file, sources[names[i]]) {
 			jobs = append(jobs, job)
 			jobFile = append(jobFile, i)
 		}
@@ -902,23 +865,6 @@ func (e *Engine) AnalyzeFilesContext(ctx context.Context, sources map[string]str
 			len(failed), len(names), strings.Join(failed, "; "))
 	}
 	return out, nil
-}
-
-// AnalyzeLoop reports on a single loop snippet (no file context).
-func (e *Engine) AnalyzeLoop(loopSrc string) (*LoopReport, error) {
-	ss := &scratchSet{pool: e.fe}
-	defer ss.release()
-	st, err := ss.ensure(1)[0].Parse.ParseStmt(loopSrc)
-	if err != nil {
-		return nil, err
-	}
-	switch st.(type) {
-	case *cast.For, *cast.While:
-	default:
-		return nil, fmt.Errorf("graph2par: not a loop statement")
-	}
-	r := e.analyzeJobs(context.Background(), []loopJob{{loop: st, fileKey: snippetCacheKey}}, ss)[0]
-	return &r, nil
 }
 
 // buildGraph constructs and encodes the loop's aug-AST in the worker's
@@ -966,10 +912,7 @@ func (e *Engine) finishLoop(job loopJob, g *auggraph.Graph, key string, pred int
 		}
 	}
 	for _, tool := range e.tools {
-		v := tool.Analyze(tools.Sample{
-			Loop: loop, File: file,
-			Compilable: file != nil, Runnable: file != nil,
-		})
+		v := tool.Analyze(tools.Sample{Loop: loop, File: file, Compilable: true, Runnable: true})
 		report.Tools = append(report.Tools, ToolVerdict{
 			Tool:        tool.Name(),
 			Processable: v.Processable,

@@ -1,30 +1,95 @@
 package graph2par
 
 import (
+	"context"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 )
 
-var (
-	testEngine     *Engine
-	testEngineOnce sync.Once
-	testEngineErr  error
-)
+// fixture is one small model, trained on first use and saved to a
+// checkpoint from which tests and benchmarks build every other engine
+// configuration they need.
+type fixture struct {
+	seed   uint64
+	once   sync.Once
+	engine *Engine // default configuration, as trained
+	ckpt   string
+	err    error
+}
 
-// engine returns a shared, quickly trained engine.
+// fixtureDirs collects the fixtures' checkpoint directories for TestMain
+// to remove.
+var fixtureDirs []string
+
+func (f *fixture) load(tb testing.TB) *fixture {
+	tb.Helper()
+	f.once.Do(func() {
+		f.engine, f.err = NewEngine(EngineConfig{TrainScale: 0.01, Epochs: 3, Seed: f.seed, Quiet: true})
+		if f.err != nil {
+			return
+		}
+		dir, err := os.MkdirTemp("", "graph2par-test-")
+		if err != nil {
+			f.err = err
+			return
+		}
+		fixtureDirs = append(fixtureDirs, dir)
+		f.ckpt = filepath.Join(dir, "model.ckpt")
+		f.err = f.engine.Save(f.ckpt)
+	})
+	if f.err != nil {
+		tb.Fatal(f.err)
+	}
+	return f
+}
+
+// build makes an engine with cfg from the fixture's checkpoint.
+func (f *fixture) build(tb testing.TB, cfg EngineConfig) *Engine {
+	tb.Helper()
+	cfg.ModelPath = f.load(tb).ckpt
+	e, err := NewEngine(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	for _, dir := range fixtureDirs {
+		os.RemoveAll(dir)
+	}
+	os.Exit(code)
+}
+
+var testModel = &fixture{seed: 3}
+
+// engine returns the shared test engine: the default configuration,
+// trained once.
 func engine(t *testing.T) *Engine {
 	t.Helper()
-	testEngineOnce.Do(func() {
-		testEngine, testEngineErr = NewEngine(EngineConfig{
-			TrainScale: 0.01, Epochs: 3, Seed: 3, Quiet: true,
-		})
-	})
-	if testEngineErr != nil {
-		t.Fatal(testEngineErr)
+	return testModel.load(t).engine
+}
+
+// engineWith builds an engine with cfg from the shared test checkpoint.
+func engineWith(t *testing.T, cfg EngineConfig) *Engine {
+	t.Helper()
+	return testModel.build(t, cfg)
+}
+
+// analyze runs AnalyzeSourceContext with a live context and fails the
+// test on error.
+func analyze(t *testing.T, e *Engine, src string) []LoopReport {
+	t.Helper()
+	reports, err := e.AnalyzeSourceContext(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return testEngine
+	return reports
 }
 
 const simpleProgram = `
@@ -40,11 +105,7 @@ int main() {
 `
 
 func TestEngineAnalyzeSource(t *testing.T) {
-	e := engine(t)
-	reports, err := e.AnalyzeSource(simpleProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := analyze(t, engine(t), simpleProgram)
 	if len(reports) != 4 {
 		t.Fatalf("loops = %d, want 4", len(reports))
 	}
@@ -75,11 +136,7 @@ func TestEngineAnalyzeSource(t *testing.T) {
 }
 
 func TestEngineToolsAgreeOnCleanLoops(t *testing.T) {
-	e := engine(t)
-	reports, err := e.AnalyzeSource(simpleProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := analyze(t, engine(t), simpleProgram)
 	// loop 2 (a[i] = b[i]*2) should be detected by all three tools; loop 3
 	// (recurrence) by none.
 	doall := reports[1]
@@ -96,34 +153,49 @@ func TestEngineToolsAgreeOnCleanLoops(t *testing.T) {
 	}
 }
 
-func TestEngineAnalyzeLoopSnippet(t *testing.T) {
-	e := engine(t)
-	r, err := e.AnalyzeLoop("for (i = 0; i < n; i++) sum += a[i];")
-	if err != nil {
-		t.Fatal(err)
+func TestEngineSuggestionForReduction(t *testing.T) {
+	reports := analyze(t, engine(t), `
+int main() {
+    int vals[1000];
+    int i, total = 0;
+    for (i = 0; i < 1000; i++) vals[i] = i;
+    for (i = 0; i < 1000; i++) total += vals[i];
+    return total;
+}
+`)
+	if len(reports) != 2 {
+		t.Fatalf("loops = %d, want 2", len(reports))
 	}
-	if r.Source == "" {
-		t.Error("missing source")
-	}
-	// snippet: static tools that need files cannot process
-	for _, tv := range r.Tools {
-		if tv.Tool == "DiscoPoP" && tv.Processable {
-			t.Error("DiscoPoP cannot process a bare snippet")
-		}
-	}
-	if _, err := e.AnalyzeLoop("x = 1;"); err == nil {
-		t.Error("non-loop should be rejected")
+	r := reports[1]
+	if r.Parallel && !strings.Contains(r.Suggestion, "reduction(+:total)") {
+		t.Errorf("suggestion = %q, want reduction(+:total)", r.Suggestion)
 	}
 }
 
-func TestEngineSuggestionForReduction(t *testing.T) {
-	e := engine(t)
-	r, err := e.AnalyzeLoop("for (i = 0; i < 1000; i++) total += vals[i];")
-	if err != nil {
-		t.Fatal(err)
+// TestFingerprintNamesStages: the fingerprint covers the stage set, so
+// engines on one checkpoint that differ only in Verify or Rewrite never
+// share a cache key, a peer fill or a warm push, while equal
+// configurations agree. A cache-less engine computes no fingerprint.
+func TestFingerprintNamesStages(t *testing.T) {
+	if fp := engine(t).Fingerprint(); fp != "" {
+		t.Errorf("cache-less engine fingerprint = %q, want empty", fp)
 	}
-	if r.Parallel && !strings.Contains(r.Suggestion, "reduction(+:total)") {
-		t.Errorf("suggestion = %q, want reduction(+:total)", r.Suggestion)
+	seen := map[string]string{}
+	for _, cfg := range []EngineConfig{
+		{CacheSize: 1},
+		{CacheSize: 1, Verify: true},
+		{CacheSize: 1, Rewrite: true},
+		{CacheSize: 1, Verify: true, Rewrite: true},
+	} {
+		name := fmt.Sprintf("verify=%t rewrite=%t", cfg.Verify, cfg.Rewrite)
+		fp := engineWith(t, cfg).Fingerprint()
+		if again := engineWith(t, cfg).Fingerprint(); again != fp {
+			t.Errorf("%s: fingerprint %s, then %s", name, fp, again)
+		}
+		if prev, ok := seen[fp]; ok {
+			t.Errorf("%s shares its fingerprint with %s", name, prev)
+		}
+		seen[fp] = name
 	}
 }
 
@@ -138,14 +210,8 @@ func TestEngineCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same predictions before and after the round trip.
-	orig, err := e.AnalyzeSource(simpleProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rest, err := loaded.AnalyzeSource(simpleProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
+	orig := analyze(t, e, simpleProgram)
+	rest := analyze(t, loaded, simpleProgram)
 	for i := range orig {
 		if orig[i].Parallel != rest[i].Parallel {
 			t.Errorf("loop %d prediction changed after checkpoint round trip", i)
@@ -157,8 +223,7 @@ func TestEngineCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestEngineParseErrorSurface(t *testing.T) {
-	e := engine(t)
-	if _, err := e.AnalyzeSource("int main() { for (i=0 i<10; i++) ; }"); err == nil {
+	if _, err := engine(t).AnalyzeSourceContext(context.Background(), "int main() { for (i=0 i<10; i++) ; }"); err == nil {
 		t.Error("parse error should surface")
 	}
 }
@@ -176,12 +241,10 @@ int main() {
 `
 
 // TestRunawayRecursionIsNotProfilable runs the program through
-// RewriteSource, which is AnalyzeSource (DiscoPoP included) followed by
-// the rewrite splice.
+// RewriteSource, which is AnalyzeSourceContext (DiscoPoP included)
+// followed by the rewrite splice.
 func TestRunawayRecursionIsNotProfilable(t *testing.T) {
-	e := *engine(t)
-	e.SetRewrite(true)
-	res, err := e.RewriteSource(runawayRecursion)
+	res, err := engineWith(t, EngineConfig{Rewrite: true}).RewriteSource(runawayRecursion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +269,10 @@ const prototypeProgram = "int g(int x);\nint main() { int i, s = 0; for (i = 0; 
 // TestPrototypeSource runs a file with a prototype through every
 // file-level entry point, with the verify and rewrite stages on.
 func TestPrototypeSource(t *testing.T) {
-	e := *engine(t)
-	e.SetVerify(true)
-	e.SetRewrite(true)
-	reports, err := e.AnalyzeSource(prototypeProgram)
+	e := engineWith(t, EngineConfig{Verify: true, Rewrite: true})
+	reports, err := e.AnalyzeSourceContext(context.Background(), prototypeProgram)
 	if err != nil || len(reports) != 1 {
-		t.Fatalf("AnalyzeSource: %d reports, %v; want 1 report", len(reports), err)
+		t.Fatalf("AnalyzeSourceContext: %d reports, %v; want 1 report", len(reports), err)
 	}
 	files, err := e.AnalyzeFiles(map[string]string{"proto.c": prototypeProgram})
 	if err != nil || len(files["proto.c"]) != 1 {

@@ -3,19 +3,20 @@
 // share their content-addressed loop caches instead of each recomputing
 // the same analyses.
 //
-// The protocol is two verbs. Every cache key (sha256 of model
-// fingerprint + file content + loop position + normalized source) has a
+// The protocol is two verbs. Every cache key (sha256 of the engine
+// fingerprint — model and enabled stages — + file content + loop
+// position + normalized source) has a
 // ranked owner set — the top-Replication replicas by rendezvous
 // (highest-random-weight) hashing over the *live* fleet — and:
 //
 //   - GET /v1/cache/<key> (pull): on a local miss, Fill asks the
 //     key's owners in rank order; a 200 carries the raw cached
 //     LoopReport (byte-identical to a local recompute, because keys
-//     embed the model fingerprint and replicas share a checkpoint), a
-//     404 means that owner has not computed it either.
+//     embed the fingerprint and replicas share a checkpoint and stages),
+//     a 404 means that owner has not computed it either.
 //   - POST /v1/cache/<key> (push): when this replica computes a report
 //     locally, Warm replicates it to the key's other owners,
-//     authenticated by the model fingerprint — so an owner restart does
+//     authenticated by the fingerprint — so an owner restart does
 //     not lose its shard (the co-owner still holds it) and entries
 //     computed off-owner converge back onto their owners.
 //
@@ -104,7 +105,7 @@ type Config struct {
 	// Timeout bounds one peer exchange.
 	Timeout time.Duration
 
-	// Fingerprint is this replica's model fingerprint
+	// Fingerprint is this replica's engine fingerprint, model and stages
 	// (graph2par.Engine.Fingerprint), sent with every warm push and
 	// verified by the receiver. Empty disables push warming (pulls still
 	// work: GETs carry no payload to authenticate).

@@ -1,6 +1,7 @@
 package peercache
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -646,13 +647,13 @@ func TestTwoReplicaPeerFill(t *testing.T) {
 	// provides the reference answers A's peer-filled reports must match.
 	reference := make([][]graph2par.LoopReport, len(corpus))
 	for i, src := range corpus {
-		if reference[i], err = engineB.AnalyzeSource(src); err != nil {
+		if reference[i], err = engineB.AnalyzeSourceContext(context.Background(), src); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	for i, src := range corpus {
-		got, err := engineA.AnalyzeSource(src)
+		got, err := engineA.AnalyzeSourceContext(context.Background(), src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -677,12 +678,84 @@ func TestTwoReplicaPeerFill(t *testing.T) {
 	// Repeat analyses are now local cache hits on A: the peer results were
 	// installed into A's cache, so the tier is not re-consulted.
 	before := st.Hits + st.Misses
-	if _, err := engineA.AnalyzeSource(corpus[0]); err != nil {
+	if _, err := engineA.AnalyzeSourceContext(context.Background(), corpus[0]); err != nil {
 		t.Fatal(err)
 	}
 	st = clientA.Stats()
 	if st.Hits+st.Misses != before {
 		t.Error("repeat analysis consulted the peer tier despite a warm local cache")
+	}
+}
+
+// TestMixedStagePeerFill is TestTwoReplicaPeerFill on a fleet whose
+// replicas disagree on a stage: replica A verifies, replica B does not,
+// and both load one checkpoint. B's reports carry no verdict, so none of
+// them may answer A's misses: A's reports must equal a fresh verify-on
+// engine's, byte for byte.
+func TestMixedStagePeerFill(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	engineB, err := graph2par.NewEngine(graph2par.EngineConfig{
+		TrainScale: 0.008, Epochs: 2, Seed: 11, Quiet: true, CacheSize: 512,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "fleet.ckpt")
+	if err := engineB.Save(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	serverB := httptest.NewServer(serve.New(engineB).Handler())
+	defer serverB.Close()
+
+	engineA, err := graph2par.NewEngine(graph2par.EngineConfig{
+		ModelPath: ckpt, Quiet: true, CacheSize: 512, Verify: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := graph2par.NewEngine(graph2par.EngineConfig{ModelPath: ckpt, Quiet: true, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientA := newTestClient(t, Config{Self: "http://replica-a.invalid:1", Peers: []string{serverB.URL}})
+	engineA.SetCacheFiller(clientA.Fill)
+
+	ctx := context.Background()
+	corpus := chaosCorpus(3)
+	for _, src := range corpus { // B computes the corpus, warming its cache
+		if _, err := engineB.AnalyzeSourceContext(ctx, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	verdicts := 0
+	for i, src := range corpus {
+		got, err := engineA.AnalyzeSourceContext(ctx, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.AnalyzeSourceContext(ctx, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range want {
+			if r.Verdict != nil {
+				verdicts++
+			}
+		}
+		gotJSON, _ := json.Marshal(got)
+		wantJSON, _ := json.Marshal(want)
+		if string(gotJSON) != string(wantJSON) {
+			t.Errorf("file %d: verify-on replica's reports differ from a fresh verify-on engine's\n got: %s\nwant: %s",
+				i, gotJSON, wantJSON)
+		}
+	}
+	if verdicts == 0 {
+		t.Fatal("the fresh verify-on engine issued no verdict, so the comparison shows nothing")
+	}
+	if st := clientA.Stats(); st.Hits != 0 {
+		t.Errorf("the verify-off replica answered %d of the verify-on replica's misses", st.Hits)
 	}
 }
 
@@ -775,7 +848,7 @@ func TestChaosFleetAcceptance(t *testing.T) {
 	extra := chaosCorpus(5)[3:] // phase-2 workload, distinct from corpus
 	reference := map[string][]byte{}
 	for _, src := range append(append([]string{}, corpus...), extra...) {
-		reports, err := trainer.AnalyzeSource(src)
+		reports, err := trainer.AnalyzeSourceContext(context.Background(), src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -820,7 +893,7 @@ func TestChaosFleetAcceptance(t *testing.T) {
 	check := func(phase string, r *chaosReplica, srcs []string) {
 		t.Helper()
 		for i, src := range srcs {
-			got, err := r.engine.AnalyzeSource(src)
+			got, err := r.engine.AnalyzeSourceContext(context.Background(), src)
 			if err != nil {
 				t.Fatalf("%s: file %d: %v", phase, i, err)
 			}

@@ -5,19 +5,15 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"graph2par"
 )
 
 // TestRewriteOverHTTP drives the full wire path: with the stage enabled,
 // POST /rewrite returns the transformed source plus per-loop plans, and
 // /stats grows a populated rewrite section.
 func TestRewriteOverHTTP(t *testing.T) {
-	e := engine(t)
-	e.SetRewrite(true)
-	e.SetCacheSize(512) // fresh cache: pre-rewrite entries carry no plan
-	t.Cleanup(func() {
-		e.SetRewrite(false)
-		e.SetCacheSize(512)
-	})
+	e := engineWith(t, graph2par.EngineConfig{Rewrite: true, CacheSize: 512})
 	ts := httptest.NewServer(New(e).Handler())
 	t.Cleanup(ts.Close)
 
@@ -78,10 +74,7 @@ func TestRewriteDisabledReturns503(t *testing.T) {
 }
 
 func TestRewriteRejectsBadRequests(t *testing.T) {
-	e := engine(t)
-	e.SetRewrite(true)
-	t.Cleanup(func() { e.SetRewrite(false) })
-	ts := httptest.NewServer(New(e).Handler())
+	ts := httptest.NewServer(New(engineWith(t, graph2par.EngineConfig{Rewrite: true})).Handler())
 	t.Cleanup(ts.Close)
 
 	var errResp errorEnvelope

@@ -2,10 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -17,6 +20,7 @@ import (
 
 var (
 	testEngine     *graph2par.Engine
+	testCkptDir    string
 	testEngineOnce sync.Once
 	testEngineErr  error
 )
@@ -24,18 +28,48 @@ var (
 // engine trains one small cached engine shared by the whole handler
 // suite (training dominates the suite's runtime; do it once, at the
 // smallest scale that still yields a working model — the handler tests
-// check HTTP semantics and HTTP-vs-direct agreement, not accuracy).
+// check HTTP semantics and HTTP-vs-direct agreement, not accuracy) and
+// saves it to the checkpoint engineWith builds other configurations
+// from.
 func engine(t *testing.T) *graph2par.Engine {
 	t.Helper()
 	testEngineOnce.Do(func() {
 		testEngine, testEngineErr = graph2par.NewEngine(graph2par.EngineConfig{
 			TrainScale: 0.008, Epochs: 2, Seed: 11, Quiet: true, CacheSize: 512,
 		})
+		if testEngineErr != nil {
+			return
+		}
+		if testCkptDir, testEngineErr = os.MkdirTemp("", "serve-test-"); testEngineErr != nil {
+			return
+		}
+		testEngineErr = testEngine.Save(filepath.Join(testCkptDir, "model.ckpt"))
 	})
 	if testEngineErr != nil {
 		t.Fatal(testEngineErr)
 	}
 	return testEngine
+}
+
+// engineWith builds an engine with cfg from the shared engine's
+// checkpoint.
+func engineWith(t *testing.T, cfg graph2par.EngineConfig) *graph2par.Engine {
+	t.Helper()
+	engine(t)
+	cfg.ModelPath = filepath.Join(testCkptDir, "model.ckpt")
+	e, err := graph2par.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if testCkptDir != "" {
+		os.RemoveAll(testCkptDir)
+	}
+	os.Exit(code)
 }
 
 func server(t *testing.T) *httptest.Server {
@@ -128,7 +162,7 @@ func TestAnalyzeEndpoint(t *testing.T) {
 	}
 	// The response must match a direct engine call (minus DOT, which is
 	// opt-in over the wire).
-	direct, err := engine(t).AnalyzeSource(program)
+	direct, err := engine(t).AnalyzeSourceContext(context.Background(), program)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +170,7 @@ func TestAnalyzeEndpoint(t *testing.T) {
 		direct[i].DOT = ""
 	}
 	if !reflect.DeepEqual(resp.Reports, direct) {
-		t.Error("HTTP reports differ from direct AnalyzeSource")
+		t.Error("HTTP reports differ from direct AnalyzeSourceContext")
 	}
 	for _, r := range resp.Reports {
 		if r.DOT != "" {
@@ -196,7 +230,7 @@ func TestAnalyzeRejectsBadInput(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/analyze", requestEnvelope{Source: "int main() { for (i=0 i<10; i++) ; }"}, &e); code != http.StatusUnprocessableEntity {
 		t.Errorf("unparsable C: status = %d, want 422", code)
 	}
-	_, directErr := engine(t).AnalyzeSource("int main() { for (i=0 i<10; i++) ; }")
+	_, directErr := engine(t).AnalyzeSourceContext(context.Background(), "int main() { for (i=0 i<10; i++) ; }")
 	if e.Error.Code != codeUnparsable || directErr == nil || e.Error.Message != directErr.Error() {
 		t.Errorf("unparsable envelope = %+v, want code %q with the engine's error %v", e.Error, codeUnparsable, directErr)
 	}
@@ -542,7 +576,7 @@ func TestMicroBatchCoalescesConcurrentClients(t *testing.T) {
 		}
 		b.WriteString("    return s;\n}\n")
 		sources[i] = b.String()
-		direct, err := engine(t).AnalyzeSource(sources[i])
+		direct, err := engine(t).AnalyzeSourceContext(context.Background(), sources[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -570,7 +604,7 @@ func TestMicroBatchCoalescesConcurrentClients(t *testing.T) {
 			t.Fatalf("client %d: status %d", i, codes[i])
 		}
 		if !reflect.DeepEqual(got[i], wants[i]) {
-			t.Errorf("client %d: concurrent response differs from direct AnalyzeSource", i)
+			t.Errorf("client %d: concurrent response differs from direct AnalyzeSourceContext", i)
 		}
 	}
 
@@ -589,7 +623,7 @@ func TestMicroBatchPerRequestErrors(t *testing.T) {
 	ts := server(t)
 
 	bad := "int main() { for (i=0 i<10; i++) ; }"
-	_, directErr := engine(t).AnalyzeSource(bad)
+	_, directErr := engine(t).AnalyzeSourceContext(context.Background(), bad)
 	if directErr == nil {
 		t.Fatal("reference source should fail to parse")
 	}

@@ -4,19 +4,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"graph2par"
 )
 
-// TestVerifyOverHTTP flips the shared engine's verification stage on and
+// TestVerifyOverHTTP serves an engine with the verification stage on and
 // checks the two wire-visible effects: parallel reports carry a verdict,
 // and /stats grows a populated verify section.
 func TestVerifyOverHTTP(t *testing.T) {
-	e := engine(t)
-	e.SetVerify(true)
-	e.SetCacheSize(512) // fresh cache: pre-verify entries carry no verdict
-	t.Cleanup(func() {
-		e.SetVerify(false)
-		e.SetCacheSize(512)
-	})
+	e := engineWith(t, graph2par.EngineConfig{Verify: true, CacheSize: 512})
 	ts := httptest.NewServer(New(e).Handler())
 	t.Cleanup(ts.Close)
 

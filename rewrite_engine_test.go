@@ -18,14 +18,8 @@ void kernels(int n, double a[], double b[]) {
 `
 
 func TestEngineRewriteStage(t *testing.T) {
-	e := engine(t)
-	e.SetRewrite(true)
-	defer e.SetRewrite(false)
-
-	reports, err := e.AnalyzeSource(rewriteProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := engineWith(t, EngineConfig{Rewrite: true})
+	reports := analyze(t, e, rewriteProgram)
 	plans := 0
 	for _, r := range reports {
 		if r.Parallel != (r.Rewrite != nil) {
@@ -60,14 +54,7 @@ func TestEngineRewriteStage(t *testing.T) {
 }
 
 func TestEngineRewriteSource(t *testing.T) {
-	e := engine(t)
-	e.SetRewrite(true)
-	e.SetCacheSize(64)
-	defer func() {
-		e.SetRewrite(false)
-		e.SetCacheSize(0)
-	}()
-
+	e := engineWith(t, EngineConfig{Rewrite: true, CacheSize: 64})
 	res, err := e.RewriteSource(rewriteProgram)
 	if err != nil {
 		t.Fatal(err)
@@ -100,10 +87,7 @@ func TestEngineRewriteSource(t *testing.T) {
 
 func TestEngineRewriteDisabled(t *testing.T) {
 	e := engine(t)
-	reports, err := e.AnalyzeSource(rewriteProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := analyze(t, e, rewriteProgram)
 	for _, r := range reports {
 		if r.Rewrite != nil {
 			t.Errorf("line %d: plan attached with the stage off", r.Line)

@@ -18,14 +18,8 @@ void kernels(int n, double a[], double b[]) {
 `
 
 func TestEngineVerifyStage(t *testing.T) {
-	e := engine(t)
-	e.SetVerify(true)
-	defer e.SetVerify(false)
-
-	reports, err := e.AnalyzeSource(verifyProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := engineWith(t, EngineConfig{Verify: true})
+	reports := analyze(t, e, verifyProgram)
 	verdicts := 0
 	for _, r := range reports {
 		if r.Parallel != (r.Verdict != nil) {
@@ -50,7 +44,7 @@ func TestEngineVerifyStage(t *testing.T) {
 	if st.Safe+st.Unknown+st.Unsafe == 0 {
 		t.Error("verdict counters never moved")
 	}
-	if r, _ := e.AnalyzeSource(verifyProgram); len(r) != len(reports) {
+	if r := analyze(t, e, verifyProgram); len(r) != len(reports) {
 		t.Fatal("re-analysis changed loop count")
 	}
 	if _, ok := e.VerifyStats(); !ok {
@@ -62,36 +56,23 @@ func TestEngineVerifyStage(t *testing.T) {
 // verification stage on, whole-report output is byte-identical across
 // runs, worker counts and cache hits.
 func TestEngineVerifyDeterministic(t *testing.T) {
-	e := engine(t)
-	e.SetVerify(true)
-	e.SetCacheSize(64)
-	defer func() {
-		e.SetVerify(false)
-		e.SetCacheSize(0)
-		e.SetWorkers(0)
-	}()
-
-	render := func() string {
-		reports, err := e.AnalyzeSource(verifyProgram)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(reports)
+	render := func(e *Engine) string {
+		b, err := json.Marshal(analyze(t, e, verifyProgram))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return string(b)
 	}
-	first := render()
+	e := engineWith(t, EngineConfig{Verify: true, CacheSize: 64})
+	first := render(e)
 	// Second run is served from the cache: the stored verdict must replay
 	// byte-for-byte, including findings.
-	if got := render(); got != first {
+	if got := render(e); got != first {
 		t.Fatalf("cached run differs:\n%s\n--- vs ---\n%s", got, first)
 	}
 	for _, w := range []int{1, 2, 7} {
-		e.SetWorkers(w)
-		e.SetCacheSize(64) // fresh cache: recompute, don't replay
-		if got := render(); got != first {
+		// A fresh engine, so its cache recomputes instead of replaying.
+		if got := render(engineWith(t, EngineConfig{Verify: true, CacheSize: 64, Workers: w})); got != first {
 			t.Fatalf("workers=%d differs:\n%s\n--- vs ---\n%s", w, got, first)
 		}
 	}
@@ -99,10 +80,7 @@ func TestEngineVerifyDeterministic(t *testing.T) {
 
 func TestEngineVerifyDisabled(t *testing.T) {
 	e := engine(t)
-	reports, err := e.AnalyzeSource(verifyProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := analyze(t, e, verifyProgram)
 	for _, r := range reports {
 		if r.Verdict != nil {
 			t.Errorf("line %d: verdict attached with verification off", r.Line)
