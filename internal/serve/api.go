@@ -97,11 +97,11 @@ const (
 	codeCacheDisabled   = "cache_disabled"
 )
 
-// FingerprintHeader carries the pushing replica's model fingerprint on
-// warm pushes (POST /v1/cache/<key>, sent by internal/peercache). Only a
-// push whose fingerprint matches this replica's own is accepted, so a
-// misconfigured fleet (mixed checkpoints) can never cross-pollinate
-// caches.
+// FingerprintHeader carries the pushing replica's fingerprint (model and
+// enabled stages) on warm pushes (POST /v1/cache/<key>, sent by
+// internal/peercache). Only a push whose fingerprint matches this
+// replica's own is accepted, so a misconfigured fleet (mixed checkpoints
+// or mixed -verify/-rewrite flags) can never cross-pollinate caches.
 const FingerprintHeader = "X-Graph2Par-Fingerprint"
 
 // errorEnvelope is the one error shape every v1 endpoint emits.
@@ -439,12 +439,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 //
 // POST is the push side (replication warming): a co-owning replica that
 // computed the key's report sends it here so this replica holds the
-// shard too. The push must carry the sender's model fingerprint and it
-// must match this replica's own — keys embed the fingerprint, so a
-// mismatched push could never be served anyway, and the match doubles
-// as authentication (only a process running the same weights knows the
-// value). Accepted reports are installed stat-neutrally
-// (Engine.InstallCached).
+// shard too. The push must carry the sender's fingerprint (model and
+// enabled stages) and it must match this replica's own — keys embed the
+// fingerprint, so a mismatched push could never be served anyway, and
+// the match doubles as authentication (only a process running the same
+// weights knows the value). A replica without a cache answers 503
+// before it looks at the fingerprint. Accepted reports are installed
+// stat-neutrally (Engine.InstallCached).
 //
 // Both verbs bypass rate limiting and admission control: they are
 // memory operations between replicas, not analysis work.
@@ -483,11 +484,19 @@ func (s *Server) handleCacheWarm(w http.ResponseWriter, r *http.Request, key str
 		s.writeError(w, ae)
 		return
 	}
-	got := r.Header.Get(FingerprintHeader)
-	if want := s.engine.Fingerprint(); got == "" || got != want {
+	// An engine computes its fingerprint only with a cache, so an empty
+	// one means there is nowhere to install the push, whatever it carries.
+	want := s.engine.Fingerprint()
+	if want == "" {
+		s.cacheWarmRej.Add(1)
+		s.writeError(w, &apiError{status: http.StatusServiceUnavailable, code: codeCacheDisabled,
+			message: "this replica runs without a result cache"})
+		return
+	}
+	if r.Header.Get(FingerprintHeader) != want {
 		s.cacheWarmRej.Add(1)
 		s.writeError(w, &apiError{status: http.StatusForbidden, code: codeFingerprint,
-			message: "warm push fingerprint does not match this replica's model"})
+			message: "warm push fingerprint does not match this replica's model and stages"})
 		return
 	}
 	var report graph2par.LoopReport
@@ -497,12 +506,7 @@ func (s *Server) handleCacheWarm(w http.ResponseWriter, r *http.Request, key str
 		s.writeError(w, badRequest("malformed warm push body: %v", err))
 		return
 	}
-	if !s.engine.InstallCached(key, report) {
-		s.cacheWarmRej.Add(1)
-		s.writeError(w, &apiError{status: http.StatusServiceUnavailable, code: codeCacheDisabled,
-			message: "this replica runs without a result cache"})
-		return
-	}
+	s.engine.InstallCached(key, report)
 	s.cacheWarmed.Add(1)
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -29,6 +30,23 @@ func warmPost(t *testing.T, url, key, fingerprint, contentType string, body []by
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// checkRejection asserts that resp is an error envelope with the given
+// status and code, and closes its body.
+func checkRejection(t *testing.T, resp *http.Response, status int, code string) {
+	t.Helper()
+	defer resp.Body.Close()
+	if resp.StatusCode != status {
+		t.Fatalf("status %d, want %d", resp.StatusCode, status)
+	}
+	var env errorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("rejection body is not the error envelope: %v", err)
+	}
+	if env.Error.Code != code {
+		t.Errorf("error code %q, want %q", env.Error.Code, code)
+	}
 }
 
 // TestCacheWarmEndpoint exercises the push side of the peer cache
@@ -78,20 +96,29 @@ func TestCacheWarmEndpoint(t *testing.T) {
 	}
 	for _, tc := range rejections {
 		t.Run(tc.name, func(t *testing.T) {
-			resp := warmPost(t, ts.URL, tc.key, tc.fp, tc.ct, tc.body)
-			defer resp.Body.Close()
-			if resp.StatusCode != tc.status {
-				t.Fatalf("status %d, want %d", resp.StatusCode, tc.status)
-			}
-			var env errorEnvelope
-			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-				t.Fatalf("rejection body is not the error envelope: %v", err)
-			}
-			if env.Error.Code != tc.code {
-				t.Errorf("error code %q, want %q", env.Error.Code, tc.code)
-			}
+			checkRejection(t, warmPost(t, ts.URL, tc.key, tc.fp, tc.ct, tc.body), tc.status, tc.code)
 		})
 	}
+
+	// A replica without a cache has nowhere to install a push: 503, whatever
+	// fingerprint the push carries, the model's own included.
+	t.Run("cache-less replica", func(t *testing.T) {
+		bare := httptest.NewServer(New(engineWith(t, graph2par.EngineConfig{})).Handler())
+		defer bare.Close()
+		for _, pushed := range []string{"", "not-the-model", fp} {
+			checkRejection(t, warmPost(t, bare.URL, key, pushed, "application/json", body),
+				http.StatusServiceUnavailable, "cache_disabled")
+		}
+	})
+
+	// A verify-off replica's reports carry no verdicts, so its push to a
+	// verify-on replica of the same checkpoint must be refused.
+	t.Run("verify-off push to verify-on replica", func(t *testing.T) {
+		verifying := httptest.NewServer(New(engineWith(t, graph2par.EngineConfig{Verify: true, CacheSize: 64})).Handler())
+		defer verifying.Close()
+		checkRejection(t, warmPost(t, verifying.URL, key, fp, "application/json", body),
+			http.StatusForbidden, "fingerprint_mismatch")
+	})
 
 	// Wrong method gets the shared 405 with both verbs advertised.
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/cache/"+key, nil)
