@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 
 	"graph2par"
+	"graph2par/internal/cli"
 	"graph2par/internal/profiling"
 )
 
@@ -31,8 +32,8 @@ func main() {
 	trainWorkers := flag.Int("train-workers", 0, "data-parallel training workers (0 = GOMAXPROCS); any value trains bit-identically")
 	doVerify := flag.Bool("verify", false, "statically verify every suggested pragma and print the verdict")
 	doRewrite := flag.Bool("rewrite", false, "plan a verified source-to-source rewrite for every predicted-parallel loop and print its status")
-	rewriteOut := flag.String("rewrite-out", "", "write the transformed source of every input into this directory (implies -rewrite)")
-	dotDir := flag.String("dot", "", "write one Graphviz .dot file per loop to this directory")
+	rewriteOut := flag.String("rewrite-out", "", "write the transformed source of every input into this directory, by base name (implies -rewrite)")
+	dotDir := flag.String("dot", "", "write one Graphviz .dot file per loop to this directory, named <input base name>_loop_NN_lineL.dot")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run (training + analysis) to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -41,6 +42,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: graph2par [flags] file.c ...")
 		flag.PrintDefaults()
 		os.Exit(2)
+	}
+	// Both output directories name files after the input's base name.
+	if *dotDir != "" || *rewriteOut != "" {
+		if err := cli.UniqueBaseNames(flag.Args()); err != nil {
+			fmt.Fprintln(os.Stderr, "graph2par:", err)
+			os.Exit(2)
+		}
 	}
 
 	prof, err := profiling.Start(*cpuProfile, *memProfile)
@@ -103,7 +111,7 @@ func main() {
 		for i, r := range reports {
 			fmt.Print(r.Format())
 			if *dotDir != "" {
-				name := fmt.Sprintf("%s/loop_%02d_line%d.dot", *dotDir, i+1, r.Line)
+				name := filepath.Join(*dotDir, fmt.Sprintf("%s_loop_%02d_line%d.dot", filepath.Base(path), i+1, r.Line))
 				if err := os.WriteFile(name, []byte(r.DOT), 0o644); err != nil {
 					fmt.Fprintln(os.Stderr, "graph2par: writing dot:", err)
 					exit = 1

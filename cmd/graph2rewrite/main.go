@@ -50,7 +50,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	list := fs.Bool("list", false, "list the verifier check suite gating rewrites and exit")
 	only := fs.String("only", "", "comma-separated check names to gate with (default: all)")
 	workers := fs.Int("workers", 0, "worker goroutines for multi-file runs (0 = GOMAXPROCS)")
-	outDir := fs.String("out", "", "write every transformed source into this directory (by base name)")
+	outDir := fs.String("out", "", "write every transformed source into this directory (by base name; inputs must not share one)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: graph2rewrite [-json] [-only a,b] [-workers n] [-out dir] <file.c|dir>...\n")
 		fs.PrintDefaults()
@@ -84,6 +84,12 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintf(stderr, "graph2rewrite: no C sources given\n")
 		fs.Usage()
 		return cli.ExitError
+	}
+	if *outDir != "" {
+		if err := cli.UniqueBaseNames(paths); err != nil {
+			fmt.Fprintf(stderr, "graph2rewrite: -out: %v\n", err)
+			return cli.ExitError
+		}
 	}
 
 	results := make([]pathResult, len(paths))

@@ -1,9 +1,10 @@
 // Package cli centralizes the conventions shared by the repo's checker
 // commands (graph2lint, graph2verify, graph2rewrite): the 0/1/2 exit-code
-// contract, -only subset selection over a named suite, and C-source
-// argument collection. The three commands used to carry private copies of
-// this plumbing; keeping it here means a flag behaves identically no
-// matter which binary it is typed at.
+// contract, -only subset selection over a named suite, C-source argument
+// collection, and the base-name check of commands that write one output
+// file per input (graph2rewrite and graph2par). The commands used to
+// carry private copies of this plumbing; keeping it here means a flag
+// behaves identically no matter which binary it is typed at.
 package cli
 
 import (
@@ -93,4 +94,22 @@ func CollectSources(args []string) ([]string, error) {
 	}
 	sort.Strings(paths)
 	return paths, nil
+}
+
+// UniqueBaseNames returns an error naming two distinct input paths that
+// share a base name. A command that writes one output file per input
+// into one directory, named after the input's base name, calls it before
+// writing anything: otherwise the later input's file silently replaces
+// the earlier one's. A path given twice is one input, not a clash.
+func UniqueBaseNames(paths []string) error {
+	seen := make(map[string]string, len(paths))
+	for _, p := range paths {
+		p = filepath.Clean(p)
+		base := filepath.Base(p)
+		if prev, ok := seen[base]; ok && prev != p {
+			return fmt.Errorf("%s and %s share the base name %s, so their output files would overwrite each other", prev, p, base)
+		}
+		seen[base] = p
+	}
+	return nil
 }

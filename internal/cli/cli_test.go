@@ -78,3 +78,28 @@ func TestCollectSourcesMissingPath(t *testing.T) {
 		t.Fatal("want error for missing path")
 	}
 }
+
+func TestUniqueBaseNames(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		paths []string
+		clash string // "" when the paths must be accepted
+	}{
+		{"none", nil, ""},
+		{"distinct", []string{"a/x.c", "b/y.c", "z.c"}, ""},
+		{"same path twice", []string{"a/x.c", "a/x.c"}, ""},
+		{"same path spelled twice", []string{"./x.c", "x.c"}, ""},
+		{"same base, other extension", []string{"a/x.c", "b/x.h"}, ""},
+		{"same base in two directories", []string{"a/x.c", "b/y.c", "b/x.c"}, "a/x.c and b/x.c share the base name x.c"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := UniqueBaseNames(tc.paths)
+			switch {
+			case tc.clash == "" && err != nil:
+				t.Errorf("unexpected error: %v", err)
+			case tc.clash != "" && (err == nil || !strings.Contains(err.Error(), tc.clash)):
+				t.Errorf("error %v, want one containing %q", err, tc.clash)
+			}
+		})
+	}
+}
