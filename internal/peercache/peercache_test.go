@@ -604,6 +604,23 @@ func TestFaultInjectedExchanges(t *testing.T) {
 
 // --- fleet tests against real engines (short-skipped: they train) ---
 
+// fleetModel trains the fleet tests' small cached engine and saves it to
+// the checkpoint the other replicas load.
+func fleetModel(t *testing.T) (*graph2par.Engine, string) {
+	t.Helper()
+	e, err := graph2par.NewEngine(graph2par.EngineConfig{
+		TrainScale: 0.008, Epochs: 2, Seed: 11, Quiet: true, CacheSize: 512,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "fleet.ckpt")
+	if err := e.Save(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	return e, ckpt
+}
+
 // TestTwoReplicaPeerFill is the tier's base acceptance test: replica A
 // and replica B share a checkpoint (so their fingerprints — and
 // therefore their cache keys — agree), B has analyzed a corpus, and A's
@@ -614,16 +631,7 @@ func TestTwoReplicaPeerFill(t *testing.T) {
 		t.Skip("trains a model")
 	}
 	// Replica B trains the fleet's model and serves it.
-	engineB, err := graph2par.NewEngine(graph2par.EngineConfig{
-		TrainScale: 0.008, Epochs: 2, Seed: 11, Quiet: true, CacheSize: 512,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt := filepath.Join(t.TempDir(), "fleet.ckpt")
-	if err := engineB.Save(ckpt); err != nil {
-		t.Fatal(err)
-	}
+	engineB, ckpt := fleetModel(t)
 	serverB := httptest.NewServer(serve.New(engineB).Handler())
 	defer serverB.Close()
 
@@ -696,16 +704,7 @@ func TestMixedStagePeerFill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
-	engineB, err := graph2par.NewEngine(graph2par.EngineConfig{
-		TrainScale: 0.008, Epochs: 2, Seed: 11, Quiet: true, CacheSize: 512,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt := filepath.Join(t.TempDir(), "fleet.ckpt")
-	if err := engineB.Save(ckpt); err != nil {
-		t.Fatal(err)
-	}
+	engineB, ckpt := fleetModel(t)
 	serverB := httptest.NewServer(serve.New(engineB).Handler())
 	defer serverB.Close()
 
@@ -832,16 +831,7 @@ func TestChaosFleetAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model and boots a fleet")
 	}
-	trainer, err := graph2par.NewEngine(graph2par.EngineConfig{
-		TrainScale: 0.008, Epochs: 2, Seed: 11, Quiet: true, CacheSize: 512,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt := filepath.Join(t.TempDir(), "fleet.ckpt")
-	if err := trainer.Save(ckpt); err != nil {
-		t.Fatal(err)
-	}
+	trainer, ckpt := fleetModel(t)
 
 	// Reference answers: the trainer engine, never wired to the fleet.
 	corpus := chaosCorpus(3)
