@@ -183,11 +183,12 @@ type LoopReport struct {
 	Parallel bool
 	// Confidence is the softmax probability of the predicted class.
 	Confidence float64
-	// Categories are the predicted pragma categories (only the heuristic
+	// Categories are the pragma categories Suggestion carries (a
 	// structural classification; the per-category heads of Table 5 are
 	// trained separately by the experiment harness).
 	Categories []pragma.Category
-	// Suggestion is a ready-to-paste pragma line ("" when not parallel).
+	// Suggestion is a ready-to-paste pragma line ("" when not parallel):
+	// the directive rewrite.DeriveClauses derives for the loop.
 	Suggestion string
 	// Tools holds the comparator verdicts.
 	Tools []ToolVerdict
@@ -358,11 +359,12 @@ func (s *verifyStats) count(l verify.Level) {
 	}
 }
 
-// VerifyStats is a snapshot of the verdicts issued so far, keyed by level.
+// VerifyStats is a snapshot of the verdicts issued so far, keyed by level
+// (the JSON form is /v1/stats' verify section).
 type VerifyStats struct {
-	Safe    uint64
-	Unknown uint64
-	Unsafe  uint64
+	Safe    uint64 `json:"safe"`
+	Unknown uint64 `json:"unknown"`
+	Unsafe  uint64 `json:"unsafe"`
 }
 
 // rewriteStats tallies issued rewrite plans per status. Counters are
@@ -385,11 +387,12 @@ func (s *rewriteStats) count(st rewrite.Status) {
 }
 
 // RewriteStats is a snapshot of the rewrite plans issued so far, keyed by
-// the status PlanLoop assigned (splice-time demotions are not re-counted).
+// the status PlanLoop assigned (splice-time demotions are not re-counted;
+// the JSON form is /v1/stats' rewrite section).
 type RewriteStats struct {
-	Rewritten  uint64
-	Atomic     uint64
-	Suggestion uint64
+	Rewritten  uint64 `json:"rewritten"`
+	Atomic     uint64 `json:"atomic"`
+	Suggestion uint64 `json:"suggestion"`
 }
 
 // RewriteEnabled reports whether loops get source-to-source rewrite plans.
@@ -891,8 +894,13 @@ func (e *Engine) finishLoop(job loopJob, g *auggraph.Graph, key string, pred int
 		DOT:        g.DOT(fmt.Sprintf("loop at line %d", loop.Pos().Line)),
 	}
 	if report.Parallel {
-		report.Categories = classifyCategories(loop)
-		report.Suggestion = buildSuggestion(loop, report.Categories)
+		// The rewriter's derived directive: for a for-loop exactly the
+		// pragma a rewrite plan gates and splices (unless the atomic
+		// rescue replaces it); a while loop gets the construct and the
+		// same clause lists, without schedule or collapse.
+		cp := rewrite.DeriveClauses(loop)
+		report.Categories = cp.Categories()
+		report.Suggestion = cp.Render()
 		if e.verify {
 			// Static re-check of the suggestion just built. The verdict is
 			// cached with the report below: the cache key already covers the
@@ -931,32 +939,6 @@ func (e *Engine) finishLoop(job loopJob, g *auggraph.Graph, key string, pred int
 		}
 	}
 	return report
-}
-
-// classifyCategories derives pragma categories structurally (reduction
-// updates present → reduction; privatizable temps → private; tiny single
-// statement body → simd candidate).
-func classifyCategories(loop cast.Stmt) []pragma.Category {
-	body := loopBody(loop)
-	if body == nil {
-		return nil
-	}
-	var cats []pragma.Category
-	iv := ""
-	if f, ok := loop.(*cast.For); ok {
-		iv = inductionVarName(f)
-	}
-	reds := findReds(body, iv)
-	if len(reds) > 0 {
-		cats = append(cats, pragma.Reduction)
-	}
-	if hasPrivatizableTemp(body, iv) {
-		cats = append(cats, pragma.Private)
-	}
-	if len(cats) == 0 && cast.CountNodes(body) <= 14 {
-		cats = append(cats, pragma.SIMD)
-	}
-	return cats
 }
 
 // Format renders a human-readable report block.

@@ -18,15 +18,17 @@ import (
 const numShards = 16
 
 // Stats is a point-in-time snapshot of the cache counters, aggregated
-// over all shards.
+// over all shards. Its JSON form is the body of /v1/stats' cache section.
 type Stats struct {
 	// Capacity is the configured maximum entry count.
-	Capacity int
+	Capacity int `json:"capacity,omitempty"`
 	// Entries is the current number of cached values.
-	Entries int
+	Entries int `json:"entries"`
 	// Hits and Misses count Get outcomes; Evictions counts entries
 	// dropped from the cold end to make room.
-	Hits, Misses, Evictions uint64
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
 }
 
 type entry[V any] struct {

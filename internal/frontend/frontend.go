@@ -83,26 +83,8 @@ func (p *Pool) Put(s *Scratch) {
 	p.mu.Unlock()
 }
 
-// GetN checks out n scratches at once — one per worker of a fan-out call.
-func (p *Pool) GetN(n int) []*Scratch {
-	out := make([]*Scratch, n)
-	p.mu.Lock()
-	for i := range out {
-		if l := len(p.free); l > 0 {
-			out[i] = p.free[l-1]
-			p.free = p.free[:l-1]
-		}
-	}
-	p.mu.Unlock()
-	for i := range out {
-		if out[i] == nil {
-			out[i] = NewScratch()
-		}
-	}
-	return out
-}
-
-// PutAll returns every scratch of a GetN checkout.
+// PutAll returns every scratch of a checkout of several, such as the
+// engine's per-call set.
 func (p *Pool) PutAll(ss []*Scratch) {
 	for _, s := range ss {
 		if s != nil {

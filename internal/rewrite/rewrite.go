@@ -72,7 +72,7 @@ type LoopPlan struct {
 	AtomicCols []int `json:"atomicCols,omitempty"`
 	// meta holds the clause derivation the dynamic validator used; the
 	// splicer does not need it, but Clone must not share slices.
-	meta clausePlan
+	meta ClausePlan
 }
 
 // Clone returns a deep copy safe to hand to another goroutine or mutate
@@ -143,10 +143,10 @@ func PlanLoopWith(loop cast.Stmt, file *cast.File, checks []*verify.Check) *Loop
 	}
 	plan.Kind = "for"
 
-	cp := deriveClauses(f)
-	plan.Pragma = cp.pragma
+	cp := DeriveClauses(f)
+	plan.Pragma = cp.Render()
 	plan.meta = cp
-	v := verify.VerifyWith(verify.Request{Loop: loop, File: file, Pragma: cp.pragma}, checks)
+	v := verify.VerifyWith(verify.Request{Loop: loop, File: file, Pragma: plan.Pragma}, checks)
 	plan.Verdict = v
 
 	switch v.Level {
@@ -188,10 +188,10 @@ func tryAtomicRescue(plan *LoopPlan, f *cast.For, file *cast.File, fn *cast.Func
 		return false
 	}
 	clone := loopWithoutStmts(f, cands)
-	cp := deriveClauses(clone)
+	cp := DeriveClauses(clone)
 	cp.noSIMD = true
-	cp.pragma = cp.render(clone.Body)
-	v := verify.VerifyWith(verify.Request{Loop: clone, File: file, Fn: fn, Pragma: cp.pragma}, checks)
+	prag := cp.Render()
+	v := verify.VerifyWith(verify.Request{Loop: clone, File: file, Fn: fn, Pragma: prag}, checks)
 	if v.Level != verify.Safe {
 		return false
 	}
@@ -201,15 +201,8 @@ func tryAtomicRescue(plan *LoopPlan, f *cast.For, file *cast.File, fn *cast.Func
 		cp.atomicBases = append(cp.atomicBases, c.base)
 	}
 	sort.Strings(cp.atomicBases)
-	// The dynamic validator still runs the real loop, so the watch
-	// inventories must come from the real body — the clone (whose
-	// protected statements are blanked) only justified the clause list
-	// and the static verdict.
-	cp.scalarNames = plan.meta.scalarNames
-	cp.arrayBases = plan.meta.arrayBases
-	cp.declared = plan.meta.declared
 	plan.Status = StatusAtomic
-	plan.Pragma = cp.pragma
+	plan.Pragma = prag
 	plan.Verdict = v
 	plan.meta = cp
 	return true

@@ -173,7 +173,7 @@ func TestDynamicOracleCatchesRecurrence(t *testing.T) {
 	}
 	fn := file.Funcs[0]
 	f := file.Loops()[0].Loop.(*cast.For)
-	out := validateDynamic(file, fn, f, deriveClauses(f))
+	out := validateDynamic(file, fn, f, DeriveClauses(f))
 	if out.status != "failed" || !strings.Contains(out.detail, `cross-iteration dependence on "a"`) {
 		t.Errorf("outcome = %+v, want cross-iteration failure on a", out)
 	}
@@ -191,7 +191,7 @@ func TestHarnessSkipsUnsupportedShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := file.Loops()[0].Loop.(*cast.For)
-	out := validateDynamic(file, file.Funcs[0], f, deriveClauses(f))
+	out := validateDynamic(file, file.Funcs[0], f, DeriveClauses(f))
 	if out.status != "skipped" {
 		t.Errorf("outcome = %+v, want skipped for a rank-3 pointer parameter", out)
 	}

@@ -3,11 +3,13 @@ package rewrite
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 
 	"graph2par/internal/cast"
 	"graph2par/internal/cinterp"
 	"graph2par/internal/cparse"
+	"graph2par/internal/depend"
 )
 
 // dynOutcome is the dynamic validator's ruling: checked (both executions
@@ -38,7 +40,7 @@ const validateSteps = 500_000
 // order-independence of the surviving state, with a relative tolerance on
 // reduction and atomic values (parallel execution legitimately
 // reassociates floating-point sums).
-func validateDynamic(file *cast.File, fn *cast.FuncDecl, loop *cast.For, cp clausePlan) dynOutcome {
+func validateDynamic(file *cast.File, fn *cast.FuncDecl, loop *cast.For, cp ClausePlan) dynOutcome {
 	if file == nil || fn == nil {
 		return skipped("loop is not inside a defined function")
 	}
@@ -61,12 +63,16 @@ func validateDynamic(file *cast.File, fn *cast.FuncDecl, loop *cast.For, cp clau
 	}
 
 	// Shared variable inventories, all in sorted slices so every message
-	// and comparison below is deterministic.
-	privSet := toSet(cp.privates)
-	firstSet := toSet(cp.firstprivates)
+	// and comparison below is deterministic. They come from the real loop
+	// body: an atomic plan's clause lists were derived on a clone whose
+	// protected statements are blanked.
+	iv := depend.ExtractLoop(loop).IndVar
+	scalarNames, arrayBases := loopNames(loop.Body, iv)
+	privSet := toSet(cp.Private)
+	firstSet := toSet(cp.FirstPrivate)
 	atomicSet := toSet(cp.atomicBases)
 	redSet := map[string]bool{}
-	for _, r := range cp.reds {
+	for _, r := range cp.Reductions {
 		redSet[r.Var] = true
 	}
 	role := func(name string) cinterp.Role {
@@ -78,13 +84,11 @@ func validateDynamic(file *cast.File, fn *cast.FuncDecl, loop *cast.For, cp clau
 		}
 		return cinterp.Named
 	}
-	watch := []cinterp.Watch{{Name: cp.iv, Role: cinterp.Exempt}}
-	for _, n := range cp.scalarNames {
-		if n != cp.iv && !cp.declared[n] {
-			watch = append(watch, cinterp.Watch{Name: n, Role: role(n)})
-		}
+	watch := []cinterp.Watch{{Name: iv, Role: cinterp.Exempt}}
+	for _, n := range scalarNames {
+		watch = append(watch, cinterp.Watch{Name: n, Role: role(n)})
 	}
-	for _, n := range cp.arrayBases {
+	for _, n := range arrayBases {
 		watch = append(watch, cinterp.Watch{Name: n, Role: role(n)})
 	}
 	var compare []string
@@ -116,7 +120,7 @@ func validateDynamic(file *cast.File, fn *cast.FuncDecl, loop *cast.For, cp clau
 	rev.MaxSteps = validateSteps
 	rev.TraceLoop = hloop
 	rev.ReverseOrder = true
-	rev.ReverseIndVar = cp.iv
+	rev.ReverseIndVar = iv
 	rev.CaptureNames = compare
 	if _, err := rev.Run(); err != nil {
 		return skipped("reversed probe: %v", err)
@@ -134,6 +138,29 @@ func validateDynamic(file *cast.File, fn *cast.FuncDecl, loop *cast.For, cp clau
 		}
 	}
 	return checked()
+}
+
+// loopNames lists, sorted, the body's plain scalars (neither the
+// induction variable nor declared in the body) and the bases it
+// subscripts. A name used both ways is in both lists.
+func loopNames(body cast.Stmt, iv string) (scalars, arrays []string) {
+	declared := cast.DeclaredNames(body)
+	seenScalar, seenArray := map[string]bool{}, map[string]bool{}
+	for _, a := range depend.CollectAccesses(body) {
+		switch {
+		case len(a.Subscripts) > 0:
+			if !seenArray[a.Base] {
+				seenArray[a.Base] = true
+				arrays = append(arrays, a.Base)
+			}
+		case !a.ViaPointer && a.Base != iv && !declared[a.Base] && !seenScalar[a.Base]:
+			seenScalar[a.Base] = true
+			scalars = append(scalars, a.Base)
+		}
+	}
+	sort.Strings(scalars)
+	sort.Strings(arrays)
+	return scalars, arrays
 }
 
 // raceOracle reads the serial probe's profile: a cell written and touched

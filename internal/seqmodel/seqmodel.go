@@ -228,9 +228,11 @@ func (m *Model) forward(g *nn.Graph, ids []int, train bool, rng *tensor.RNG) *nn
 	return m.headB.Apply(g, hidden)
 }
 
-// Predict returns argmax class and probabilities.
+// Predict returns argmax class and probabilities. It runs on an
+// inference tape: no gradient bookkeeping, the same values as Forward on
+// a training tape.
 func (m *Model) Predict(ids []int) (int, []float64) {
-	g := nn.NewGraph()
+	g := nn.NewInferenceGraph()
 	logits := m.Forward(g, ids, false)
 	probs := logits.Val.Clone()
 	tensor.SoftmaxRows(probs)

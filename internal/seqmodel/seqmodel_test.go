@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"graph2par/internal/nn"
+	"graph2par/internal/tensor"
 )
 
 func TestTokenizeNormalization(t *testing.T) {
@@ -83,6 +84,34 @@ func TestForwardFiniteAndDeterministic(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("probs sum to %v", sum)
+	}
+}
+
+// TestPredictMatchesTrainingTape: Predict runs on an inference tape, and
+// its probabilities must equal a training-tape Forward's bit for bit.
+func TestPredictMatchesTrainingTape(t *testing.T) {
+	v := NewVocab()
+	srcs := []string{
+		"for (i = 0; i < n; i++) s += a[i];",
+		"for (i = 1; i < n; i++) a[i] = a[i-1] * 2;",
+		"while (i < n) { t = b[i]; c[i] = t * t; i++; }",
+	}
+	var seqs [][]int
+	for _, src := range srcs {
+		toks, _ := Tokenize(src)
+		v.Add(toks)
+		seqs = append(seqs, v.Encode(toks))
+	}
+	m := New(smallConfig(v.Size()))
+	for i, ids := range seqs {
+		_, probs := m.Predict(ids)
+		want := m.Forward(nn.NewGraph(), ids, false).Val.Clone()
+		tensor.SoftmaxRows(want)
+		for j := range want.Data {
+			if probs[j] != want.Data[j] {
+				t.Fatalf("sequence %d: prob[%d] = %v on the inference tape, %v on a training tape", i, j, probs[j], want.Data[j])
+			}
+		}
 	}
 }
 

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"graph2par"
+	"graph2par/internal/cache"
 )
 
 // DefaultMaxBody bounds request bodies when ServeConfig.MaxBody is left
@@ -260,20 +261,16 @@ type peerInfo struct {
 // have been issued (cache hits replay their stored plan without
 // re-counting).
 type rewriteInfo struct {
-	Enabled    bool   `json:"enabled"`
-	Rewritten  uint64 `json:"rewritten"`
-	Atomic     uint64 `json:"atomic"`
-	Suggestion uint64 `json:"suggestion"`
+	Enabled bool `json:"enabled"`
+	graph2par.RewriteStats
 }
 
 // verifyInfo reports the static verification stage: whether suggestions
 // carry verdicts, and how many of each lattice level have been issued
 // (cache hits replay their stored verdict without re-counting).
 type verifyInfo struct {
-	Enabled bool   `json:"enabled"`
-	Safe    uint64 `json:"safe"`
-	Unknown uint64 `json:"unknown"`
-	Unsafe  uint64 `json:"unsafe"`
+	Enabled bool `json:"enabled"`
+	graph2par.VerifyStats
 }
 
 type reqStats struct {
@@ -283,13 +280,10 @@ type reqStats struct {
 	Errors  uint64 `json:"errors"`
 }
 
+// cacheStats reports the engine's report cache.
 type cacheStats struct {
-	Enabled   bool   `json:"enabled"`
-	Capacity  int    `json:"capacity,omitempty"`
-	Entries   int    `json:"entries"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
+	Enabled bool `json:"enabled"`
+	cache.Stats
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -330,10 +324,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if st, ok := s.engine.CacheStats(); ok {
-		resp.Cache = cacheStats{
-			Enabled: true, Capacity: st.Capacity, Entries: st.Entries,
-			Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
-		}
+		resp.Cache = cacheStats{Enabled: true, Stats: st}
 	}
 	resp.Peer = peerInfo{
 		Served:       s.cacheServed.Load(),
@@ -357,14 +348,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Peer.Replicas = ps.Replicas
 	}
 	if st, ok := s.engine.VerifyStats(); ok {
-		resp.Verify = verifyInfo{
-			Enabled: true, Safe: st.Safe, Unknown: st.Unknown, Unsafe: st.Unsafe,
-		}
+		resp.Verify = verifyInfo{Enabled: true, VerifyStats: st}
 	}
 	if st, ok := s.engine.RewriteStats(); ok {
-		resp.Rewrite = rewriteInfo{
-			Enabled: true, Rewritten: st.Rewritten, Atomic: st.Atomic, Suggestion: st.Suggestion,
-		}
+		resp.Rewrite = rewriteInfo{Enabled: true, RewriteStats: st}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

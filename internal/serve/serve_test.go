@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"graph2par"
+	"graph2par/internal/cache"
 	"graph2par/internal/cparse"
 )
 
@@ -511,6 +512,49 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if code := postJSON(t, ts.URL+"/v1/stats", struct{}{}, nil); code != http.StatusMethodNotAllowed {
 		t.Errorf("POST /v1/stats: status = %d, want 405", code)
+	}
+}
+
+// TestStatsJSON pins the /v1/stats body bytes with the cache, verify and
+// rewrite sections enabled and disabled: each section is its snapshot
+// type embedded beside Enabled, and the literals are the bytes the
+// field-by-field copies used to produce.
+func TestStatsJSON(t *testing.T) {
+	for _, tc := range []struct {
+		resp statsResponse
+		want string
+	}{{
+		resp: statsResponse{
+			Cache: cacheStats{Enabled: true, Stats: cache.Stats{
+				Capacity: 4096, Entries: 17, Hits: 40, Misses: 17, Evictions: 2}},
+			Verify: verifyInfo{Enabled: true, VerifyStats: graph2par.VerifyStats{
+				Safe: 11, Unknown: 4, Unsafe: 2}},
+			Rewrite: rewriteInfo{Enabled: true, RewriteStats: graph2par.RewriteStats{
+				Rewritten: 9, Atomic: 1, Suggestion: 7}},
+		},
+		want: `{"uptimeSeconds":0,"workers":0,"requests":{"analyze":0,"batch":0,"rewrite":0,"errors":0},` +
+			`"admission":{"enabled":false,"inflight":0,"queued":0,"admitted":0,"shed":0},` +
+			`"rateLimit":{"enabled":false,"clients":0,"limited":0},` +
+			`"cache":{"enabled":true,"capacity":4096,"entries":17,"hits":40,"misses":17,"evictions":2},` +
+			`"peer":{"enabled":false,"hits":0,"misses":0,"errors":0,"served":0,"notFound":0},` +
+			`"verify":{"enabled":true,"safe":11,"unknown":4,"unsafe":2},` +
+			`"rewrite":{"enabled":true,"rewritten":9,"atomic":1,"suggestion":7}}`,
+	}, {
+		want: `{"uptimeSeconds":0,"workers":0,"requests":{"analyze":0,"batch":0,"rewrite":0,"errors":0},` +
+			`"admission":{"enabled":false,"inflight":0,"queued":0,"admitted":0,"shed":0},` +
+			`"rateLimit":{"enabled":false,"clients":0,"limited":0},` +
+			`"cache":{"enabled":false,"entries":0,"hits":0,"misses":0,"evictions":0},` +
+			`"peer":{"enabled":false,"hits":0,"misses":0,"errors":0,"served":0,"notFound":0},` +
+			`"verify":{"enabled":false,"safe":0,"unknown":0,"unsafe":0},` +
+			`"rewrite":{"enabled":false,"rewritten":0,"atomic":0,"suggestion":0}}`,
+	}} {
+		got, err := json.Marshal(tc.resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("stats body:\n got %s\nwant %s", got, tc.want)
+		}
 	}
 }
 

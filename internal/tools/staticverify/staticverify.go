@@ -7,8 +7,8 @@
 package staticverify
 
 import (
-	"graph2par/internal/cast"
-	"graph2par/internal/depend"
+	"sort"
+
 	"graph2par/internal/tools"
 	"graph2par/internal/verify"
 )
@@ -36,43 +36,15 @@ func (*Tool) Analyze(s tools.Sample) tools.Verdict {
 	if v.Reason != "" {
 		out.Reason += ": " + v.Reason
 	}
-	if f, ok := s.Loop.(*cast.For); ok {
-		fillClauses(&out, f)
+	cs := verify.Clauses(s.Loop)
+	for _, r := range cs.Reductions {
+		if out.Reductions == nil {
+			out.Reductions = map[string]string{}
+		}
+		out.Reductions[r.Var] = r.Op
 	}
+	// Private lists every privatized scalar, firstprivate ones included.
+	out.Private = append(append(out.Private, cs.Private...), cs.FirstPrivate...)
+	sort.Strings(out.Private)
 	return out
-}
-
-// fillClauses derives the reduction and private lists the verifier's
-// clause check would demand, mirroring the engine's suggestion builder.
-func fillClauses(out *tools.Verdict, f *cast.For) {
-	info := depend.ExtractLoop(f)
-	if !info.Canonical || f.Body == nil {
-		return
-	}
-	scalars := depend.ClassifyScalars(f.Body, info.IndVar, true)
-	for _, r := range depend.FindReductions(f.Body, map[string]bool{info.IndVar: true}) {
-		if scalars[r.Var] == depend.ScalarReduction {
-			if out.Reductions == nil {
-				out.Reductions = map[string]string{}
-			}
-			out.Reductions[r.Var] = r.Op
-		}
-	}
-	declared := cast.DeclaredNames(f.Body)
-	for name, cl := range scalars {
-		if cl == depend.ScalarPrivate && name != info.IndVar && !declared[name] {
-			out.Private = append(out.Private, name)
-		}
-	}
-	sortStrings(out.Private)
-}
-
-// sortStrings is a tiny insertion sort: Private lists hold a handful of
-// names, and keeping them ordered makes verdicts deterministic.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

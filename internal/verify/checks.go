@@ -112,6 +112,65 @@ func checkDependence(p *Pass) {
 // clauses: the declared private/reduction lists must cover exactly what
 // the dependence analysis derives
 
+// ClauseSet is what a worksharing directive on one loop must declare.
+// Every list is sorted, and none names the induction variable or a
+// variable declared in the body: each iteration owns those already.
+type ClauseSet struct {
+	// Reductions are the recognized reduction updates whose scalar is
+	// classified a reduction, by variable.
+	Reductions []depend.ReductionOp
+	// Private are the scalars each iteration writes before it reads them.
+	Private []string
+	// FirstPrivate are the scalars privatizable only when a nested or
+	// conditional write counts: an iteration that skips the write must
+	// see the original value.
+	FirstPrivate []string
+}
+
+// Clauses derives the clause lists of a for or while loop. It is the one
+// rule: the clauses check enforces it, the rewriter renders it into every
+// directive it derives (the engine's suggestion among them), and
+// StaticVerify reports it.
+func Clauses(loop cast.Stmt) ClauseSet {
+	body, info, _ := loopParts(loop)
+	if body == nil {
+		return ClauseSet{}
+	}
+	iv := info.IndVar
+	reds, privatized := requiredClauses(iv, depend.ClassifyScalars(body, iv, true),
+		depend.FindReductions(body, map[string]bool{iv: true}), cast.DeclaredNames(body))
+	cs := ClauseSet{Reductions: reds}
+	strict := depend.ClassifyScalars(body, iv, false)
+	for _, name := range privatized {
+		if strict[name] == depend.ScalarPrivate {
+			cs.Private = append(cs.Private, name)
+		} else {
+			cs.FirstPrivate = append(cs.FirstPrivate, name)
+		}
+	}
+	return cs
+}
+
+// requiredClauses picks the required lists out of one loop's facts: the
+// reductions whose scalar class is reduction, and the privatized scalars
+// (private and firstprivate alike) in sorted order, leaving out the
+// induction variable and body-declared names. checkClauses calls it on
+// the facts its pass already holds.
+func requiredClauses(iv string, scalars map[string]depend.ScalarClass, reds []depend.ReductionOp,
+	declared map[string]bool) (required []depend.ReductionOp, privatized []string) {
+	for _, r := range reds {
+		if scalars[r.Var] == depend.ScalarReduction {
+			required = append(required, r)
+		}
+	}
+	for _, name := range keysSorted(scalars) {
+		if scalars[name] == depend.ScalarPrivate && name != iv && !declared[name] {
+			privatized = append(privatized, name)
+		}
+	}
+	return required, privatized
+}
+
 func checkClauses(p *Pass) {
 	if p.Pragma == nil {
 		return // derive mode: no clause lists to verify
@@ -129,18 +188,15 @@ func checkClauses(p *Pass) {
 	}
 	iv := p.Info.IndVar
 
-	// Required clause lists, derived from the dependence analysis.
+	// Required clause lists: the rule Clauses derives, from the pass facts.
+	reds, privatized := requiredClauses(iv, p.Scalars, p.Reds, p.Declared)
 	reqRed := map[string]string{}
-	for _, r := range p.Reds {
-		if p.Scalars[r.Var] == depend.ScalarReduction {
-			reqRed[r.Var] = r.Op
-		}
+	for _, r := range reds {
+		reqRed[r.Var] = r.Op
 	}
 	reqPriv := map[string]bool{}
-	for name, cl := range p.Scalars {
-		if cl == depend.ScalarPrivate && name != iv && !p.Declared[name] {
-			reqPriv[name] = true
-		}
+	for _, name := range privatized {
+		reqPriv[name] = true
 	}
 
 	// Declared clause lists.
@@ -155,8 +211,8 @@ func checkClauses(p *Pass) {
 		gotPriv[v] = true
 	}
 
-	for _, v := range keysSorted(reqRed) {
-		op := reqRed[v]
+	for _, r := range reds {
+		v, op := r.Var, r.Op
 		gop, ok := gotRed[v]
 		switch {
 		case !ok:
@@ -184,7 +240,7 @@ func checkClauses(p *Pass) {
 		}
 	}
 
-	for _, v := range keysSorted(reqPriv) {
+	for _, v := range privatized {
 		if !gotPriv[v] {
 			p.report("clauses", Unsafe,
 				fmt.Sprintf("scalar %q is written before read each iteration and must be private", v),

@@ -76,7 +76,7 @@ type Pass struct {
 	Pragma *pragma.Info
 
 	// Scalars classifies every scalar in the body (nestedWrites=true, the
-	// same setting the engine's suggestion builder uses, so the clause
+	// setting Clauses derives every directive's lists with, so the clause
 	// check compares like with like). Reds lists recognized reduction
 	// updates. Declared marks variables declared inside the body.
 	// Accesses is the body's full access list, shared by the dependence,
@@ -100,16 +100,7 @@ func newPass(req Request) *Pass {
 		Fn:     req.Fn,
 		purity: map[string]purityResult{},
 	}
-	switch l := req.Loop.(type) {
-	case *cast.For:
-		p.IsFor = true
-		p.Body = l.Body
-		p.Info = depend.ExtractLoop(l)
-	case *cast.While:
-		p.Body = l.Body
-	case *cast.DoWhile:
-		p.Body = l.Body
-	}
+	p.Body, p.Info, p.IsFor = loopParts(req.Loop)
 	if req.File != nil {
 		p.Funcs = req.File.DefinedFuncs()
 		if p.Fn == nil {
@@ -127,6 +118,20 @@ func newPass(req Request) *Pass {
 		p.Accesses = depend.CollectAccesses(p.Body)
 	}
 	return p
+}
+
+// loopParts returns a loop's body and, for a for-loop, its normalized
+// form (zero for while and do-while loops).
+func loopParts(loop cast.Stmt) (body cast.Stmt, info depend.LoopInfo, isFor bool) {
+	switch l := loop.(type) {
+	case *cast.For:
+		return l.Body, depend.ExtractLoop(l), true
+	case *cast.While:
+		return l.Body, info, false
+	case *cast.DoWhile:
+		return l.Body, info, false
+	}
+	return nil, info, false
 }
 
 // report appends one finding at the given position.

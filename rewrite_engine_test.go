@@ -1,9 +1,11 @@
 package graph2par
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"graph2par/internal/dataset"
 	"graph2par/internal/rewrite"
 	"graph2par/internal/verify"
 )
@@ -51,6 +53,47 @@ func TestEngineRewriteStage(t *testing.T) {
 	if st.Rewritten+st.Atomic+st.Suggestion == 0 {
 		t.Error("plan counters never moved")
 	}
+}
+
+// TestSuggestionIsRewritePragma: the engine suggests the rewriter's
+// derived directive, so with the rewrite stage on, every predicted-
+// parallel for-loop suggests exactly its plan's pragma — except a
+// rewritten-atomic plan, whose rescue derives a new one on a clone. The
+// files are the generator's at the default scale and two seeds (-short,
+// which CI runs under the race detector: a quarter scale, one seed).
+func TestSuggestionIsRewritePragma(t *testing.T) {
+	seeds, scale := []uint64{20, 1234}, 0.02
+	if testing.Short() {
+		seeds, scale = seeds[:1], 0.005
+	}
+	files := map[string]string{}
+	for _, seed := range seeds {
+		for _, s := range dataset.Generate(dataset.Config{Scale: scale, Seed: seed}).Samples {
+			if s.FileSrc != "" {
+				files[fmt.Sprintf("s%d_%d.c", seed, s.ID)] = s.FileSrc
+			}
+		}
+	}
+	out, err := engineWith(t, EngineConfig{Rewrite: true}).AnalyzeFiles(files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for name, reports := range out {
+		for _, r := range reports {
+			if r.Rewrite == nil || r.Rewrite.Kind != "for" || r.Rewrite.Status == rewrite.StatusAtomic {
+				continue
+			}
+			checked++
+			if r.Suggestion != r.Rewrite.Pragma {
+				t.Errorf("%s line %d: suggestion %q, plan pragma %q", name, r.Line, r.Suggestion, r.Rewrite.Pragma)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Skip("model predicted no for-loop parallel; nothing to compare")
+	}
+	t.Logf("%d predicted-parallel for-loops compared over %d files", checked, len(files))
 }
 
 func TestEngineRewriteSource(t *testing.T) {
