@@ -28,8 +28,7 @@ func main() {
 	hidden := flag.Int("hidden", 48, "model hidden width")
 	table := flag.Int("table", 0, "run a single table (1-5)")
 	figure := flag.Int("figure", 0, "run a single figure (2)")
-	workers := flag.Int("workers", 0, "worker pool size for the per-sample sweeps (0 = GOMAXPROCS)")
-	trainWorkers := flag.Int("train-workers", 0, "data-parallel training workers (0 = GOMAXPROCS); any value trains bit-identically")
+	workers := flag.Int("workers", 0, "worker pool size for the per-sample sweeps and training (0 = GOMAXPROCS)")
 	all := flag.Bool("all", false, "run everything")
 	verifier := flag.Bool("verifier", false, "run the static-verifier agreement/precision report")
 	ablations := flag.Bool("ablations", false, "run the DESIGN.md ablations")
@@ -49,7 +48,6 @@ func main() {
 	opts.Epochs = *epochs
 	opts.Hidden = *hidden
 	opts.Verbose = *verbose
-	opts.Workers = *trainWorkers
 
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, TestFrac: 0.25, Training: opts, Workers: *workers}
 	fmt.Printf("generating OMP_Serial at scale %.3f (seed %d)...\n", *scale, *seed)

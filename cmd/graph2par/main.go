@@ -29,7 +29,6 @@ func main() {
 	epochs := flag.Int("epochs", 6, "training epochs")
 	seed := flag.Uint64("seed", 1234, "training seed")
 	workers := flag.Int("workers", 0, "analysis worker pool size (0 = GOMAXPROCS)")
-	trainWorkers := flag.Int("train-workers", 0, "data-parallel training workers (0 = GOMAXPROCS); any value trains bit-identically")
 	doVerify := flag.Bool("verify", false, "statically verify every suggested pragma and print the verdict")
 	doRewrite := flag.Bool("rewrite", false, "plan a verified source-to-source rewrite for every predicted-parallel loop and print its status")
 	rewriteOut := flag.String("rewrite-out", "", "write the transformed source of every input into this directory, by base name (implies -rewrite)")
@@ -63,14 +62,13 @@ func main() {
 	}
 
 	engine, err := graph2par.NewEngine(graph2par.EngineConfig{
-		ModelPath:    *modelPath,
-		TrainScale:   *scale,
-		Epochs:       *epochs,
-		Seed:         *seed,
-		Workers:      *workers,
-		TrainWorkers: *trainWorkers,
-		Verify:       *doVerify,
-		Rewrite:      *doRewrite || *rewriteOut != "",
+		ModelPath:  *modelPath,
+		TrainScale: *scale,
+		Epochs:     *epochs,
+		Seed:       *seed,
+		Workers:    *workers,
+		Verify:     *doVerify,
+		Rewrite:    *doRewrite || *rewriteOut != "",
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "graph2par:", err)

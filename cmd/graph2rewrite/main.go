@@ -11,7 +11,6 @@
 //	go run ./cmd/graph2rewrite examples/c
 //	go run ./cmd/graph2rewrite -json examples/c | jq .
 //	go run ./cmd/graph2rewrite -out /tmp/rewritten examples/c
-//	go run ./cmd/graph2rewrite -only structure,purity file.c
 //
 // Arguments are C files or directories (walked recursively for *.c).
 // Exit status mirrors graph2verify: 0 when every loop's final verdict is
@@ -48,11 +47,10 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit per-file rewrite plans as a JSON array")
 	list := fs.Bool("list", false, "list the verifier check suite gating rewrites and exit")
-	only := fs.String("only", "", "comma-separated check names to gate with (default: all)")
 	workers := fs.Int("workers", 0, "worker goroutines for multi-file runs (0 = GOMAXPROCS)")
 	outDir := fs.String("out", "", "write every transformed source into this directory (by base name; inputs must not share one)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: graph2rewrite [-json] [-only a,b] [-workers n] [-out dir] <file.c|dir>...\n")
+		fmt.Fprintf(stderr, "usage: graph2rewrite [-json] [-workers n] [-out dir] <file.c|dir>...\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -62,17 +60,11 @@ func run(args []string, stdout, stderr *os.File) int {
 		return cli.ExitError
 	}
 
-	checks := verify.Checks()
 	if *list {
-		for _, c := range checks {
+		for _, c := range verify.Checks() {
 			fmt.Fprintf(stdout, "%-12s %s\n", c.Name, c.Doc)
 		}
 		return cli.ExitClean
-	}
-	checks, err := cli.SelectOnly(checks, func(c *verify.Check) string { return c.Name }, *only, "check")
-	if err != nil {
-		fmt.Fprintf(stderr, "graph2rewrite: %v\n", err)
-		return cli.ExitError
 	}
 
 	paths, err := cli.CollectSources(fs.Args())
@@ -94,7 +86,7 @@ func run(args []string, stdout, stderr *os.File) int {
 
 	results := make([]pathResult, len(paths))
 	parallel.ForEach(*workers, len(paths), func(i int) {
-		results[i] = rewritePath(paths[i], checks)
+		results[i] = rewritePath(paths[i])
 	})
 
 	var all []*rewrite.FileResult
@@ -161,12 +153,12 @@ func run(args []string, stdout, stderr *os.File) int {
 }
 
 // rewritePath rewrites one C file.
-func rewritePath(path string, checks []*verify.Check) pathResult {
+func rewritePath(path string) pathResult {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return pathResult{err: err}
 	}
-	res, err := rewrite.RewriteSourceWith(string(src), checks)
+	res, err := rewrite.RewriteSource(string(src))
 	if err != nil {
 		return pathResult{err: err}
 	}

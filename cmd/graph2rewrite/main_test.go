@@ -85,3 +85,12 @@ func TestOutRefusesSharedBaseNames(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlyIsUnknownFlag: every rewrite is gated by the whole check
+// suite, so there is no flag to narrow it.
+func TestOnlyIsUnknownFlag(t *testing.T) {
+	_, paths := writeInputs(t, "x.c")
+	if code, _ := runCLI(t, append([]string{"-only", "structure"}, paths...)...); code != cli.ExitError {
+		t.Errorf("-only structure: exit %d, want %d", code, cli.ExitError)
+	}
+}

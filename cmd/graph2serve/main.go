@@ -60,7 +60,6 @@ func main() {
 	epochs := flag.Int("epochs", 6, "training epochs (from-scratch only)")
 	seed := flag.Uint64("seed", 1234, "training seed (from-scratch only)")
 	workers := flag.Int("workers", 0, "analysis worker pool size (0 = GOMAXPROCS)")
-	trainWorkers := flag.Int("train-workers", 0, "data-parallel training workers for from-scratch training (0 = GOMAXPROCS); any value trains bit-identically")
 	cacheSize := flag.Int("cache", 4096, "analysis cache capacity in loop reports (0 disables)")
 	maxBody := flag.Int64("max-body", 0, "max request-body bytes; larger bodies get 413 (0 = 16 MiB default)")
 	maxInflight := flag.Int("max-inflight", 0, "admission control: max concurrently processed API requests (0 disables)")
@@ -89,16 +88,15 @@ func main() {
 	}
 
 	engine, err := graph2par.NewEngine(graph2par.EngineConfig{
-		ModelPath:    *modelPath,
-		TrainScale:   *scale,
-		Epochs:       *epochs,
-		Seed:         *seed,
-		Workers:      *workers,
-		TrainWorkers: *trainWorkers,
-		CacheSize:    *cacheSize,
-		Quiet:        *quiet,
-		Verify:       *doVerify,
-		Rewrite:      *doRewrite,
+		ModelPath:  *modelPath,
+		TrainScale: *scale,
+		Epochs:     *epochs,
+		Seed:       *seed,
+		Workers:    *workers,
+		CacheSize:  *cacheSize,
+		Quiet:      *quiet,
+		Verify:     *doVerify,
+		Rewrite:    *doRewrite,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "graph2serve:", err)

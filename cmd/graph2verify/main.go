@@ -7,7 +7,6 @@
 //
 //	go run ./cmd/graph2verify examples/c
 //	go run ./cmd/graph2verify -json examples/c | jq .
-//	go run ./cmd/graph2verify -only structure,purity file.c
 //	go run ./cmd/graph2verify -list
 //
 // Arguments are C files or directories (walked recursively for *.c).
@@ -46,10 +45,9 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit verdicts as a JSON array")
 	list := fs.Bool("list", false, "list the check suite and exit")
-	only := fs.String("only", "", "comma-separated check names to run (default: all)")
 	workers := fs.Int("workers", 0, "worker goroutines for multi-file runs (0 = GOMAXPROCS)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: graph2verify [-json] [-only a,b] [-workers n] <file.c|dir>...\n")
+		fmt.Fprintf(stderr, "usage: graph2verify [-json] [-workers n] <file.c|dir>...\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -59,17 +57,11 @@ func run(args []string, stdout, stderr *os.File) int {
 		return cli.ExitError
 	}
 
-	checks := verify.Checks()
 	if *list {
-		for _, c := range checks {
+		for _, c := range verify.Checks() {
 			fmt.Fprintf(stdout, "%-12s %s\n", c.Name, c.Doc)
 		}
 		return cli.ExitClean
-	}
-	checks, err := cli.SelectOnly(checks, func(c *verify.Check) string { return c.Name }, *only, "check")
-	if err != nil {
-		fmt.Fprintf(stderr, "graph2verify: %v\n", err)
-		return cli.ExitError
 	}
 
 	paths, err := cli.CollectSources(fs.Args())
@@ -87,7 +79,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	// order never depends on scheduling, only on the sorted path list.
 	results := make([]fileResult, len(paths))
 	parallel.ForEach(*workers, len(paths), func(i int) {
-		results[i] = verifyPath(paths[i], checks)
+		results[i] = verifyPath(paths[i])
 	})
 
 	var all []verify.LoopVerdict
@@ -136,7 +128,7 @@ func run(args []string, stdout, stderr *os.File) int {
 }
 
 // verifyPath parses one C file and verifies its loops.
-func verifyPath(path string, checks []*verify.Check) fileResult {
+func verifyPath(path string) fileResult {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return fileResult{path: path, err: err}
@@ -145,7 +137,7 @@ func verifyPath(path string, checks []*verify.Check) fileResult {
 	if err != nil {
 		return fileResult{path: path, err: err}
 	}
-	loops := verify.VerifyFileWith(file, checks)
+	loops := verify.VerifyFile(file)
 	for i := range loops {
 		loops[i].File = path
 	}

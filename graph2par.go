@@ -65,12 +65,6 @@ type EngineConfig struct {
 	// graph-preparation sweep of from-scratch training. Values < 1 mean
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// TrainWorkers bounds the data-parallel gradient workers of
-	// from-scratch training (< 1 → GOMAXPROCS). Training is bit-identical
-	// at every worker count (see train.Options.Workers), so this knob
-	// trades wall-clock for cores without changing the model by a single
-	// byte.
-	TrainWorkers int
 	// CacheSize enables the content-addressed analysis cache: up to this
 	// many loop reports are kept in a sharded LRU keyed by the loop's
 	// normalized source, its translation-unit content and the engine
@@ -187,8 +181,9 @@ type LoopReport struct {
 	// structural classification; the per-category heads of Table 5 are
 	// trained separately by the experiment harness).
 	Categories []pragma.Category
-	// Suggestion is a ready-to-paste pragma line ("" when not parallel):
-	// the directive rewrite.DeriveClauses derives for the loop.
+	// Suggestion is a ready-to-paste pragma line: the directive
+	// rewrite.DeriveClauses derives for a predicted-parallel for-loop (""
+	// otherwise; a while loop takes no worksharing directive).
 	Suggestion string
 	// Tools holds the comparator verdicts.
 	Tools []ToolVerdict
@@ -196,8 +191,9 @@ type LoopReport struct {
 	GraphStats string
 	// DOT is the Graphviz rendering of the loop's aug-AST.
 	DOT string
-	// Verdict is the static verifier's ruling on Suggestion (nil when
-	// verification is disabled or the loop is not predicted parallel).
+	// Verdict is the static verifier's ruling on Suggestion, or on the
+	// bare loop when there is none (nil when verification is disabled or
+	// the loop is not predicted parallel).
 	Verdict *verify.Verdict
 	// Rewrite is the source-to-source plan for this loop (nil when the
 	// rewrite stage is disabled or the loop is not predicted parallel).
@@ -251,7 +247,6 @@ func trainModel(cfg EngineConfig) (*hgt.Model, *auggraph.Vocab, auggraph.Options
 	opts := train.DefaultOptions()
 	opts.Epochs = cfg.Epochs
 	opts.Seed = cfg.Seed
-	opts.Workers = cfg.TrainWorkers
 	set := train.PrepareGraphsN(cfg.Workers, corpus.Samples, opts.Graph, nil, train.ParallelLabel)
 	return train.TrainHGT(set, opts), set.Vocab, opts.Graph
 }
@@ -894,18 +889,21 @@ func (e *Engine) finishLoop(job loopJob, g *auggraph.Graph, key string, pred int
 		DOT:        g.DOT(fmt.Sprintf("loop at line %d", loop.Pos().Line)),
 	}
 	if report.Parallel {
-		// The rewriter's derived directive: for a for-loop exactly the
-		// pragma a rewrite plan gates and splices (unless the atomic
-		// rescue replaces it); a while loop gets the construct and the
-		// same clause lists, without schedule or collapse.
-		cp := rewrite.DeriveClauses(loop)
-		report.Categories = cp.Categories()
-		report.Suggestion = cp.Render()
+		// The rewriter's derived directive: exactly the pragma a rewrite
+		// plan gates and splices (unless the atomic rescue replaces it).
+		// A while loop takes no worksharing directive, so it gets none.
+		if f, ok := loop.(*cast.For); ok {
+			cp := rewrite.DeriveClauses(f)
+			report.Categories = cp.Categories()
+			report.Suggestion = cp.Render()
+		}
 		if e.verify {
-			// Static re-check of the suggestion just built. The verdict is
-			// cached with the report below: the cache key already covers the
-			// file content and loop source (every verify input), so a cached
-			// verdict can never go stale relative to its loop.
+			// Static re-check of the suggestion just built (an empty one
+			// asks whether any parallel for could land on the loop). The
+			// verdict is cached with the report below: the cache key
+			// already covers the file content and loop source (every
+			// verify input), so a cached verdict can never go stale
+			// relative to its loop.
 			v := verify.Verify(verify.Request{Loop: loop, File: file, Pragma: report.Suggestion})
 			report.Verdict = &v
 			e.vstats.count(v.Level)

@@ -56,21 +56,6 @@ func NewParamZero(name string, rows, cols int) *Param {
 	}
 }
 
-// Moments returns copies of the parameter's Adam moment vectors (first,
-// second) for checkpointing optimizer state.
-func (p *Param) Moments() (m, v []float64) {
-	return append([]float64(nil), p.m.Data...), append([]float64(nil), p.v.Data...)
-}
-
-// SetMoments restores the Adam moment vectors from a checkpoint.
-func (p *Param) SetMoments(m, v []float64) {
-	if len(m) != len(p.m.Data) || len(v) != len(p.v.Data) {
-		panic(fmt.Sprintf("nn: moment size mismatch for %s: %d/%d vs %d", p.Name, len(m), len(v), len(p.m.Data)))
-	}
-	copy(p.m.Data, m)
-	copy(p.v.Data, v)
-}
-
 // NewParamOnes allocates a ones-initialized parameter (LN gains).
 func NewParamOnes(name string, rows, cols int) *Param {
 	p := NewParamZero(name, rows, cols)
@@ -239,13 +224,6 @@ type Adam struct {
 func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
-
-// Steps returns how many updates have been applied (the bias-correction
-// counter), for checkpointing.
-func (a *Adam) Steps() int { return a.step }
-
-// SetSteps restores the update counter from a checkpoint.
-func (a *Adam) SetSteps(n int) { a.step = n }
 
 // Step applies one update to every parameter from its accumulated gradient.
 // It is the "apply once" half of the accumulate-then-step contract of

@@ -10,15 +10,15 @@ import (
 	"graph2par/internal/verify"
 )
 
-// ClausePlan is the static derivation for one loop: the clause lists
-// verify.Clauses derives and, for a for-loop, the nest depth a collapse
-// may cover and a schedule choice. Render turns it into the one directive
-// of the loop: the verifier gates it, the splicer emits it on a Safe
-// verdict, and the engine suggests it.
+// ClausePlan is the static derivation for one for-loop: the clause lists
+// verify.Clauses derives, the nest depth a collapse may cover and a
+// schedule choice. Render turns it into the one directive of the loop:
+// the verifier gates it, the splicer emits it on a Safe verdict, and the
+// engine suggests it.
 type ClausePlan struct {
 	verify.ClauseSet
 	collapse int
-	schedule string // "" for a while loop: it takes no schedule clause
+	schedule string
 	// simdFit marks a body small enough for the simd construct.
 	simdFit bool
 	// atomicBases is filled by the atomic rescue: array bases whose
@@ -29,20 +29,12 @@ type ClausePlan struct {
 	noSIMD bool
 }
 
-// DeriveClauses computes the plan for a for or while loop. A while loop
-// gets the same clause lists but no collapse or schedule.
-func DeriveClauses(loop cast.Stmt) ClausePlan {
-	cp := ClausePlan{ClauseSet: verify.Clauses(loop)}
-	var body cast.Stmt
-	switch l := loop.(type) {
-	case *cast.For:
-		body = l.Body
-		cp.collapse = collapseDepth(l)
-		cp.schedule = chooseSchedule(l, cp.collapse)
-	case *cast.While:
-		body = l.Body
-	}
-	cp.simdFit = body != nil && cast.CountNodes(body) <= 14
+// DeriveClauses computes the plan for a for-loop.
+func DeriveClauses(f *cast.For) ClausePlan {
+	cp := ClausePlan{ClauseSet: verify.Clauses(f)}
+	cp.collapse = collapseDepth(f)
+	cp.schedule = chooseSchedule(f, cp.collapse)
+	cp.simdFit = f.Body != nil && cast.CountNodes(f.Body) <= 14
 	return cp
 }
 

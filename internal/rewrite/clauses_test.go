@@ -15,8 +15,8 @@ import (
 
 // renderPlans enumerates clause plans over everything Render
 // distinguishes: reductions, private and firstprivate lists, simd
-// eligibility and its suppression, and the for-loop shapes (no collapse,
-// a collapse, either schedule) beside a while loop's (neither clause).
+// eligibility and its suppression, and the loop shapes (no collapse, a
+// collapse, either schedule, neither clause).
 func renderPlans() []ClausePlan {
 	shapes := []struct {
 		collapse int

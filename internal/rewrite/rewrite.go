@@ -112,12 +112,6 @@ type FileResult struct {
 // cacheable alongside the loop's report. Graph identity is not checked
 // here (it needs the spliced bytes); Apply sets it.
 func PlanLoop(loop cast.Stmt, file *cast.File) *LoopPlan {
-	return PlanLoopWith(loop, file, verify.Checks())
-}
-
-// PlanLoopWith is PlanLoop restricted to a chosen verifier check subset
-// (the CLI's -only flag).
-func PlanLoopWith(loop cast.Stmt, file *cast.File, checks []*verify.Check) *LoopPlan {
 	pos := loop.Pos()
 	plan := &LoopPlan{
 		Line:   pos.Line,
@@ -134,7 +128,7 @@ func PlanLoopWith(loop cast.Stmt, file *cast.File, checks []*verify.Check) *Loop
 	f, isFor := loop.(*cast.For)
 	if !isFor {
 		plan.Kind = "while"
-		plan.Verdict = verify.VerifyWith(verify.Request{Loop: loop, File: file}, checks)
+		plan.Verdict = verify.Verify(verify.Request{Loop: loop, File: file})
 		plan.Reason = "only for loops take a worksharing rewrite"
 		if plan.Verdict.Reason != "" {
 			plan.Reason = plan.Verdict.Reason
@@ -146,14 +140,14 @@ func PlanLoopWith(loop cast.Stmt, file *cast.File, checks []*verify.Check) *Loop
 	cp := DeriveClauses(f)
 	plan.Pragma = cp.Render()
 	plan.meta = cp
-	v := verify.VerifyWith(verify.Request{Loop: loop, File: file, Pragma: plan.Pragma}, checks)
+	v := verify.Verify(verify.Request{Loop: loop, File: file, Pragma: plan.Pragma})
 	plan.Verdict = v
 
 	switch v.Level {
 	case verify.Safe:
 		plan.Status = StatusRewritten
 	case verify.Unsafe:
-		if rescued := tryAtomicRescue(plan, f, file, fn, checks); !rescued {
+		if rescued := tryAtomicRescue(plan, f, file, fn); !rescued {
 			plan.Reason = v.Reason
 			return plan
 		}
@@ -182,7 +176,7 @@ func PlanLoopWith(loop cast.Stmt, file *cast.File, checks []*verify.Check) *Loop
 // array updates with `omp atomic` turns the Unsafe verdict Safe: it
 // verifies a clone with those statements blanked out. On success the plan
 // is upgraded in place.
-func tryAtomicRescue(plan *LoopPlan, f *cast.For, file *cast.File, fn *cast.FuncDecl, checks []*verify.Check) bool {
+func tryAtomicRescue(plan *LoopPlan, f *cast.For, file *cast.File, fn *cast.FuncDecl) bool {
 	cands := atomicCandidates(f)
 	if len(cands) == 0 {
 		return false
@@ -191,7 +185,7 @@ func tryAtomicRescue(plan *LoopPlan, f *cast.For, file *cast.File, fn *cast.Func
 	cp := DeriveClauses(clone)
 	cp.noSIMD = true
 	prag := cp.Render()
-	v := verify.VerifyWith(verify.Request{Loop: clone, File: file, Fn: fn, Pragma: prag}, checks)
+	v := verify.Verify(verify.Request{Loop: clone, File: file, Fn: fn, Pragma: prag})
 	if v.Level != verify.Safe {
 		return false
 	}
@@ -212,19 +206,13 @@ func tryAtomicRescue(plan *LoopPlan, f *cast.For, file *cast.File, fn *cast.Func
 // of the file is planned — the derived pragma decides, no model in the
 // loop — and the accepted plans are spliced into the source.
 func RewriteSource(src string) (*FileResult, error) {
-	return RewriteSourceWith(src, verify.Checks())
-}
-
-// RewriteSourceWith is RewriteSource restricted to a chosen verifier
-// check subset.
-func RewriteSourceWith(src string, checks []*verify.Check) (*FileResult, error) {
 	file, err := cparse.ParseFile(src)
 	if err != nil {
 		return nil, err
 	}
 	var plans []*LoopPlan
 	for _, l := range file.Loops() {
-		plans = append(plans, PlanLoopWith(l.Loop, file, checks))
+		plans = append(plans, PlanLoop(l.Loop, file))
 	}
 	sort.SliceStable(plans, func(i, j int) bool { return plans[i].Line < plans[j].Line })
 	out, changed, err := Apply(src, plans)

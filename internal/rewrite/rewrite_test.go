@@ -6,7 +6,6 @@ import (
 
 	"graph2par/internal/cast"
 	"graph2par/internal/cparse"
-	"graph2par/internal/verify"
 )
 
 func mustRewrite(t *testing.T, src string) *FileResult {
@@ -214,44 +213,4 @@ func TestWhileStaysSuggestionOnly(t *testing.T) {
 	if p.Status != StatusSuggestion || p.Kind != "while" {
 		t.Errorf("plan = %+v", p)
 	}
-}
-
-func TestRewriteSourceWithCheckSubset(t *testing.T) {
-	// Restricting the suite to the structure check alone blinds the
-	// verifier to the recurrence... but the dynamic oracle still stops it.
-	src := `void prefix(int n, double a[]) {
-    for (int i = 1; i < n; i++) {
-        a[i] = a[i - 1] + a[i];
-    }
-}
-`
-	checks, err := onlyChecks("structure")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RewriteSourceWith(src, checks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := res.Loops[0]
-	if p.Status != StatusSuggestion || !strings.Contains(p.Reason, "dynamic validation") {
-		t.Errorf("plan = status %s reason %q, want a dynamic-validation demotion", p.Status, p.Reason)
-	}
-	if res.Changed {
-		t.Error("racy loop must not ship even under a partial check suite")
-	}
-}
-
-func onlyChecks(names ...string) ([]*verify.Check, error) {
-	want := map[string]bool{}
-	for _, n := range names {
-		want[n] = true
-	}
-	var out []*verify.Check
-	for _, c := range verify.Checks() {
-		if want[c.Name] {
-			out = append(out, c)
-		}
-	}
-	return out, nil
 }

@@ -52,24 +52,31 @@ const DefaultRetryAfter = time.Second
 // PeerStats is the peer-fill client's counter snapshot: the value
 // internal/peercache's Client.Stats returns, supplied through
 // ServeConfig.PeerStats so /v1/stats can report the cluster tier without
-// this package importing the peer client.
+// this package importing the peer client. Its JSON form is the client
+// side of /v1/stats' peer section.
 type PeerStats struct {
 	// Peers is the replica-list size (self excluded); Live is how many
 	// of them currently participate in ownership (healthy or suspect).
-	Peers, Live int
+	Peers int `json:"peers,omitempty"`
+	Live  int `json:"live,omitempty"`
 	// Hits counts misses served from the owning replica's cache;
 	// Misses counts peer lookups that came back empty (local recompute
 	// followed); Errors counts failed peer exchanges (network, decode —
 	// also followed by local recompute).
-	Hits, Misses, Errors uint64
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	Errors uint64 `json:"errors"`
 	// NegativeHits counts pulls suppressed by the negative-result TTL;
 	// Retries counts exchanges with a lower-ranked owner after the
 	// owner above it missed or failed.
-	NegativeHits, Retries uint64
+	NegativeHits uint64 `json:"negativeHits,omitempty"`
+	Retries      uint64 `json:"retries,omitempty"`
 	// WarmsSent/WarmErrors/WarmDropped count the push-replication side.
-	WarmsSent, WarmErrors, WarmDropped uint64
+	WarmsSent   uint64 `json:"warmsSent,omitempty"`
+	WarmErrors  uint64 `json:"warmErrors,omitempty"`
+	WarmDropped uint64 `json:"warmDropped,omitempty"`
 	// Replicas is the per-peer health state.
-	Replicas []PeerReplica
+	Replicas []PeerReplica `json:"replicas,omitempty"`
 }
 
 // PeerReplica is one remote replica's observable fault-tolerance state.
@@ -238,22 +245,12 @@ type rateLimitInfo struct {
 // lookups served to — or 404ed for — other replicas, warm pushes
 // accepted or rejected).
 type peerInfo struct {
-	Enabled      bool          `json:"enabled"`
-	Peers        int           `json:"peers,omitempty"`
-	Live         int           `json:"live,omitempty"`
-	Hits         uint64        `json:"hits"`
-	Misses       uint64        `json:"misses"`
-	Errors       uint64        `json:"errors"`
-	NegativeHits uint64        `json:"negativeHits,omitempty"`
-	Retries      uint64        `json:"retries,omitempty"`
-	WarmsSent    uint64        `json:"warmsSent,omitempty"`
-	WarmErrors   uint64        `json:"warmErrors,omitempty"`
-	WarmDropped  uint64        `json:"warmDropped,omitempty"`
-	Served       uint64        `json:"served"`
-	NotFound     uint64        `json:"notFound"`
-	Warmed       uint64        `json:"warmed,omitempty"`
-	WarmRejected uint64        `json:"warmRejected,omitempty"`
-	Replicas     []PeerReplica `json:"replicas,omitempty"`
+	Enabled bool `json:"enabled"`
+	PeerStats
+	Served       uint64 `json:"served"`
+	NotFound     uint64 `json:"notFound"`
+	Warmed       uint64 `json:"warmed,omitempty"`
+	WarmRejected uint64 `json:"warmRejected,omitempty"`
 }
 
 // rewriteInfo reports the source-to-source stage: whether predicted-
@@ -333,19 +330,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		WarmRejected: s.cacheWarmRej.Load(),
 	}
 	if s.peerStats != nil {
-		ps := s.peerStats()
 		resp.Peer.Enabled = true
-		resp.Peer.Peers = ps.Peers
-		resp.Peer.Live = ps.Live
-		resp.Peer.Hits = ps.Hits
-		resp.Peer.Misses = ps.Misses
-		resp.Peer.Errors = ps.Errors
-		resp.Peer.NegativeHits = ps.NegativeHits
-		resp.Peer.Retries = ps.Retries
-		resp.Peer.WarmsSent = ps.WarmsSent
-		resp.Peer.WarmErrors = ps.WarmErrors
-		resp.Peer.WarmDropped = ps.WarmDropped
-		resp.Peer.Replicas = ps.Replicas
+		resp.Peer.PeerStats = s.peerStats()
 	}
 	if st, ok := s.engine.VerifyStats(); ok {
 		resp.Verify = verifyInfo{Enabled: true, VerifyStats: st}

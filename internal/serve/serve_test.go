@@ -515,10 +515,12 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestStatsJSON pins the /v1/stats body bytes with the cache, verify and
-// rewrite sections enabled and disabled: each section is its snapshot
-// type embedded beside Enabled, and the literals are the bytes the
-// field-by-field copies used to produce.
+// TestStatsJSON pins the /v1/stats body bytes with the cache, peer,
+// verify and rewrite sections enabled and disabled: each section is its
+// snapshot type embedded beside Enabled (peer also keeps the owner-side
+// counters), and the literals are the bytes the field-by-field copies
+// used to produce, except that the peer section's replicas key now comes
+// before served.
 func TestStatsJSON(t *testing.T) {
 	for _, tc := range []struct {
 		resp statsResponse
@@ -545,6 +547,25 @@ func TestStatsJSON(t *testing.T) {
 			`"rateLimit":{"enabled":false,"clients":0,"limited":0},` +
 			`"cache":{"enabled":false,"entries":0,"hits":0,"misses":0,"evictions":0},` +
 			`"peer":{"enabled":false,"hits":0,"misses":0,"errors":0,"served":0,"notFound":0},` +
+			`"verify":{"enabled":false,"safe":0,"unknown":0,"unsafe":0},` +
+			`"rewrite":{"enabled":false,"rewritten":0,"atomic":0,"suggestion":0}}`,
+	}, {
+		resp: statsResponse{
+			Peer: peerInfo{Enabled: true, PeerStats: PeerStats{
+				Peers: 2, Live: 1, Hits: 5, Misses: 3, Errors: 1, NegativeHits: 2, Retries: 4,
+				WarmsSent: 6, WarmErrors: 1,
+				Replicas: []PeerReplica{{Base: "http://10.0.0.2:8080", State: "down", Failures: 3,
+					Hits: 5, Misses: 3, Errors: 1, Warms: 6}}},
+				Served: 8, NotFound: 2, Warmed: 3, WarmRejected: 1},
+		},
+		want: `{"uptimeSeconds":0,"workers":0,"requests":{"analyze":0,"batch":0,"rewrite":0,"errors":0},` +
+			`"admission":{"enabled":false,"inflight":0,"queued":0,"admitted":0,"shed":0},` +
+			`"rateLimit":{"enabled":false,"clients":0,"limited":0},` +
+			`"cache":{"enabled":false,"entries":0,"hits":0,"misses":0,"evictions":0},` +
+			`"peer":{"enabled":true,"peers":2,"live":1,"hits":5,"misses":3,"errors":1,"negativeHits":2,` +
+			`"retries":4,"warmsSent":6,"warmErrors":1,"replicas":[{"base":"http://10.0.0.2:8080",` +
+			`"state":"down","failures":3,"hits":5,"misses":3,"errors":1,"warms":6}],` +
+			`"served":8,"notFound":2,"warmed":3,"warmRejected":1},` +
 			`"verify":{"enabled":false,"safe":0,"unknown":0,"unsafe":0},` +
 			`"rewrite":{"enabled":false,"rewritten":0,"atomic":0,"suggestion":0}}`,
 	}} {

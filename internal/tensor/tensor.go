@@ -158,26 +158,6 @@ func (r *RNG) Perm(n int) []int {
 // Split derives an independent generator (for deterministic parallel use).
 func (r *RNG) Split() *RNG { return NewRNG(r.Uint64()) }
 
-// RNGState is the serializable snapshot of a generator: restoring it
-// continues the stream exactly where the snapshot was taken, including the
-// buffered Box-Muller spare. Training checkpoints embed it so a resumed run
-// draws the same permutations and dropout seeds as an uninterrupted one.
-type RNGState struct {
-	State    uint64
-	Spare    float64
-	HasSpare bool
-}
-
-// Snapshot captures the generator's current state.
-func (r *RNG) Snapshot() RNGState {
-	return RNGState{State: r.state, Spare: r.spare, HasSpare: r.hasSpare}
-}
-
-// Restore rewinds the generator to a snapshot.
-func (r *RNG) Restore(st RNGState) {
-	r.state, r.spare, r.hasSpare = st.State, st.Spare, st.HasSpare
-}
-
 // Xavier fills m with Glorot-uniform values scaled by fan-in/fan-out.
 func (m *Matrix) Xavier(r *RNG) *Matrix {
 	limit := math.Sqrt(6.0 / float64(m.Rows+m.Cols))

@@ -172,23 +172,6 @@ func TestMatMulKernelsBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-func TestRNGSnapshotRestore(t *testing.T) {
-	r := NewRNG(77)
-	r.Norm() // leave a Box-Muller spare buffered
-	st := r.Snapshot()
-	want := []uint64{r.Uint64(), r.Uint64()}
-	wantN := r.Norm()
-
-	r2 := NewRNG(0)
-	r2.Restore(st)
-	if got := []uint64{r2.Uint64(), r2.Uint64()}; got[0] != want[0] || got[1] != want[1] {
-		t.Error("restored RNG diverged on Uint64 stream")
-	}
-	if r2.Norm() != wantN {
-		t.Error("restored RNG lost the Box-Muller spare")
-	}
-}
-
 func TestSoftmaxRowsProperties(t *testing.T) {
 	rng := NewRNG(7)
 	m := New(10, 6).Gaussian(rng, 3)

@@ -28,11 +28,9 @@ const (
 )
 
 // Checkpoint is a serializable trained Graph2Par model: configuration,
-// weights and the aug-AST vocabulary it was trained with. Train optionally
-// carries a mid-run HGTTrainer snapshot (optimizer moments, RNG position,
-// loop bookkeeping) so an interrupted run can resume bit-identically; gob
-// decodes it as nil for checkpoints written without one, so the format
-// version is unchanged and old files keep loading.
+// weights and the aug-AST vocabulary it was trained with. Files written
+// with a mid-training snapshot in a `Train` field still load: gob skips
+// stream fields the struct does not declare.
 type Checkpoint struct {
 	Config hgt.Config
 	Params []ParamBlob
@@ -40,7 +38,6 @@ type Checkpoint struct {
 	Attrs  []string
 	Types  []string
 	Graph  GraphOptionsBlob
-	Train  *TrainState
 }
 
 // ParamBlob is one named weight matrix.
@@ -58,16 +55,9 @@ type GraphOptionsBlob struct {
 
 // SaveCheckpoint writes the model, vocabulary and graph options to path.
 func SaveCheckpoint(path string, model *hgt.Model, vocab *auggraph.Vocab, opts auggraph.Options) error {
-	return SaveCheckpointState(path, model, vocab, opts, nil)
-}
-
-// SaveCheckpointState is SaveCheckpoint plus an optional mid-training
-// snapshot (HGTTrainer.State); pass nil for a plain final checkpoint.
-func SaveCheckpointState(path string, model *hgt.Model, vocab *auggraph.Vocab, opts auggraph.Options, st *TrainState) error {
 	ck := &Checkpoint{
 		Config: model.Cfg,
 		Graph:  GraphOptionsBlob{CFG: opts.CFG, Lexical: opts.Lexical, Reverse: opts.Reverse, Normalize: opts.Normalize},
-		Train:  st,
 	}
 	for _, p := range model.Params.All() {
 		ck.Params = append(ck.Params, ParamBlob{
@@ -104,56 +94,48 @@ func SaveCheckpointState(path string, model *hgt.Model, vocab *auggraph.Vocab, o
 // LoadCheckpoint restores a model, its vocabulary and graph options. It
 // verifies the header magic, format version, payload length and checksum
 // before decoding, so damaged or foreign files are rejected with a
-// descriptive error. Any embedded training state is dropped; use
-// LoadCheckpointFull to resume an interrupted run.
+// descriptive error.
 func LoadCheckpoint(path string) (*hgt.Model, *auggraph.Vocab, auggraph.Options, error) {
-	model, vocab, opts, _, err := LoadCheckpointFull(path)
-	return model, vocab, opts, err
-}
-
-// LoadCheckpointFull is LoadCheckpoint plus the embedded TrainState, which
-// is nil for checkpoints saved without one (every pre-resume file).
-func LoadCheckpointFull(path string) (*hgt.Model, *auggraph.Vocab, auggraph.Options, *TrainState, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, auggraph.Options{}, nil, err
+		return nil, nil, auggraph.Options{}, err
 	}
 	if len(raw) < ckptHdrLen || string(raw[:len(ckptMagic)]) != ckptMagic {
-		return nil, nil, auggraph.Options{}, nil, fmt.Errorf("train: %s is not a graph2par checkpoint (bad magic)", path)
+		return nil, nil, auggraph.Options{}, fmt.Errorf("train: %s is not a graph2par checkpoint (bad magic)", path)
 	}
 	if v := binary.LittleEndian.Uint32(raw[8:]); v != ckptVersion {
-		return nil, nil, auggraph.Options{}, nil, fmt.Errorf("train: %s has checkpoint format version %d, this build reads version %d", path, v, ckptVersion)
+		return nil, nil, auggraph.Options{}, fmt.Errorf("train: %s has checkpoint format version %d, this build reads version %d", path, v, ckptVersion)
 	}
 	payload := raw[ckptHdrLen:]
 	if want := binary.LittleEndian.Uint64(raw[12:]); uint64(len(payload)) != want {
 		if uint64(len(payload)) < want {
-			return nil, nil, auggraph.Options{}, nil, fmt.Errorf("train: %s is truncated: %d of %d payload bytes", path, len(payload), want)
+			return nil, nil, auggraph.Options{}, fmt.Errorf("train: %s is truncated: %d of %d payload bytes", path, len(payload), want)
 		}
-		return nil, nil, auggraph.Options{}, nil, fmt.Errorf("train: %s payload length mismatch: have %d bytes, header declares %d", path, len(payload), want)
+		return nil, nil, auggraph.Options{}, fmt.Errorf("train: %s payload length mismatch: have %d bytes, header declares %d", path, len(payload), want)
 	}
 	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(raw[20:]) {
-		return nil, nil, auggraph.Options{}, nil, fmt.Errorf("train: %s is corrupt: payload checksum mismatch", path)
+		return nil, nil, auggraph.Options{}, fmt.Errorf("train: %s is corrupt: payload checksum mismatch", path)
 	}
 	var ck Checkpoint
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
-		return nil, nil, auggraph.Options{}, nil, fmt.Errorf("train: %s: decoding checkpoint: %w", path, err)
+		return nil, nil, auggraph.Options{}, fmt.Errorf("train: %s: decoding checkpoint: %w", path, err)
 	}
 	model := hgt.New(ck.Config)
 	params := model.Params.All()
 	if len(params) != len(ck.Params) {
-		return nil, nil, auggraph.Options{}, nil, fmt.Errorf("train: checkpoint has %d params, model expects %d", len(ck.Params), len(params))
+		return nil, nil, auggraph.Options{}, fmt.Errorf("train: checkpoint has %d params, model expects %d", len(ck.Params), len(params))
 	}
 	for i, blob := range ck.Params {
 		p := params[i]
 		if p.W.Rows != blob.Rows || p.W.Cols != blob.Cols {
-			return nil, nil, auggraph.Options{}, nil, fmt.Errorf("train: param %s shape %dx%d vs checkpoint %dx%d",
+			return nil, nil, auggraph.Options{}, fmt.Errorf("train: param %s shape %dx%d vs checkpoint %dx%d",
 				p.Name, p.W.Rows, p.W.Cols, blob.Rows, blob.Cols)
 		}
 		copy(p.W.Data, blob.Data)
 	}
 	vocab := rebuildVocab(ck.Kinds, ck.Attrs, ck.Types)
 	opts := auggraph.Options{CFG: ck.Graph.CFG, Lexical: ck.Graph.Lexical, Reverse: ck.Graph.Reverse, Normalize: ck.Graph.Normalize}
-	return model, vocab, opts, ck.Train, nil
+	return model, vocab, opts, nil
 }
 
 func vocabTables(v *auggraph.Vocab) (kinds, attrs, types []string) {

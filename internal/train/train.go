@@ -160,8 +160,7 @@ func PrepareGraphsN(workers int, samples []*dataset.Sample, opts auggraph.Option
 // TrainHGT trains a Graph2Par model on the set, optionally with
 // validation-based early stopping. Gradient computation is data-parallel
 // over Options.Workers goroutines with bit-identical results at any worker
-// count; see HGTTrainer for the epoch-level API (trajectories, mid-run
-// checkpointing, resume).
+// count; see HGTTrainer for the epoch-level API (trajectories).
 func TrainHGT(train *GraphSet, opts Options) *hgt.Model {
 	t := NewHGTTrainer(train, opts)
 	for !t.Done() {

@@ -73,9 +73,8 @@ func batchStep(workers int, ps *nn.ParamSet, pool *nn.ScratchPool, master *tenso
 
 // HGTTrainer drives epoch-by-epoch Graph2Par training with data-parallel
 // gradient computation. It exposes the loop's state so callers can record
-// per-epoch trajectories (experiments.Appendix), checkpoint mid-run
-// (State + SaveCheckpointState) and resume bit-identically
-// (ResumeHGTTrainer). TrainHGT remains the one-call wrapper.
+// per-epoch trajectories (experiments.Appendix). TrainHGT remains the
+// one-call wrapper.
 type HGTTrainer struct {
 	Model *hgt.Model
 
@@ -107,7 +106,21 @@ func NewHGTTrainer(set *GraphSet, opts Options) *HGTTrainer {
 	cfg.Seed = opts.Seed
 	model := hgt.New(cfg)
 
-	t := newHGTTrainerFor(model, set, opts)
+	bs := opts.BatchSize
+	if bs < 1 {
+		bs = 1
+	}
+	t := &HGTTrainer{
+		Model:   model,
+		set:     set,
+		opts:    opts,
+		optzr:   nn.NewAdam(opts.LR),
+		rng:     model.RNG(),
+		pool:    nn.NewScratchPool(&model.Params),
+		workers: parallel.Workers(opts.Workers),
+		bs:      bs,
+		bestAcc: -1,
+	}
 	t.trainIdx = make([]int, len(set.Encoded))
 	for i := range t.trainIdx {
 		t.trainIdx[i] = i
@@ -120,55 +133,6 @@ func NewHGTTrainer(set *GraphSet, opts Options) *HGTTrainer {
 		perm := t.rng.Perm(len(t.trainIdx))
 		t.valIdx = perm[:nVal]
 		t.trainIdx = perm[nVal:]
-	}
-	return t
-}
-
-// newHGTTrainerFor wires the loop mechanics shared by fresh and resumed
-// trainers.
-func newHGTTrainerFor(model *hgt.Model, set *GraphSet, opts Options) *HGTTrainer {
-	bs := opts.BatchSize
-	if bs < 1 {
-		bs = 1
-	}
-	return &HGTTrainer{
-		Model:   model,
-		set:     set,
-		opts:    opts,
-		optzr:   nn.NewAdam(opts.LR),
-		rng:     model.RNG(),
-		pool:    nn.NewScratchPool(&model.Params),
-		workers: parallel.Workers(opts.Workers),
-		bs:      bs,
-		bestAcc: -1,
-	}
-}
-
-// ResumeHGTTrainer continues training from a checkpointed TrainState: the
-// model carries the saved weights (LoadCheckpointFull), st carries the
-// optimizer moments, the RNG position and the loop bookkeeping. set must be
-// the same GraphSet (same samples, same order, same vocabulary) the
-// interrupted run trained on — the state's index lists refer into it. A
-// resumed run finishes with weights byte-identical to an uninterrupted one,
-// at any worker count on either side of the interruption.
-func ResumeHGTTrainer(model *hgt.Model, set *GraphSet, opts Options, st *TrainState) *HGTTrainer {
-	t := newHGTTrainerFor(model, set, opts)
-	t.epoch = st.Epoch
-	t.optzr.SetSteps(st.AdamSteps)
-	for i, p := range model.Params.All() {
-		p.SetMoments(st.AdamM[i], st.AdamV[i])
-	}
-	t.rng.Restore(st.RNG)
-	t.trainIdx = append([]int(nil), st.TrainIdx...)
-	t.valIdx = append([]int(nil), st.ValIdx...)
-	t.bestAcc = st.BestAcc
-	t.sinceBest = st.SinceBest
-	t.stopped = st.Stopped
-	if st.BestWeights != nil {
-		t.bestWeights = make([][]float64, len(st.BestWeights))
-		for i, w := range st.BestWeights {
-			t.bestWeights[i] = append([]float64(nil), w...)
-		}
 	}
 	return t
 }
@@ -250,52 +214,4 @@ func (t *HGTTrainer) Finish() *hgt.Model {
 		restoreWeights(&t.Model.Params, t.bestWeights)
 	}
 	return t.Model
-}
-
-// State snapshots everything RunEpoch depends on besides the GraphSet, so
-// training can be checkpointed between epochs and resumed bit-identically.
-func (t *HGTTrainer) State() *TrainState {
-	params := t.Model.Params.All()
-	st := &TrainState{
-		Epoch:     t.epoch,
-		AdamSteps: t.optzr.Steps(),
-		AdamM:     make([][]float64, len(params)),
-		AdamV:     make([][]float64, len(params)),
-		RNG:       t.rng.Snapshot(),
-		TrainIdx:  append([]int(nil), t.trainIdx...),
-		ValIdx:    append([]int(nil), t.valIdx...),
-		BestAcc:   t.bestAcc,
-		SinceBest: t.sinceBest,
-		Stopped:   t.stopped,
-	}
-	for i, p := range params {
-		st.AdamM[i], st.AdamV[i] = p.Moments()
-	}
-	if t.bestWeights != nil {
-		st.BestWeights = make([][]float64, len(t.bestWeights))
-		for i, w := range t.bestWeights {
-			st.BestWeights[i] = append([]float64(nil), w...)
-		}
-	}
-	return st
-}
-
-// TrainState is the serializable between-epochs snapshot of an HGTTrainer:
-// optimizer moments and step count, the master RNG position, the
-// train/validation index split and the early-stopping bookkeeping. Saved
-// into checkpoints by SaveCheckpointState.
-type TrainState struct {
-	Epoch     int
-	AdamSteps int
-	AdamM     [][]float64
-	AdamV     [][]float64
-	RNG       tensor.RNGState
-	TrainIdx  []int
-	ValIdx    []int
-	BestAcc   float64
-	SinceBest int
-	Stopped   bool
-	// BestWeights mirrors the early-stopping weight snapshot (nil when no
-	// validation improvement has been recorded yet).
-	BestWeights [][]float64
 }

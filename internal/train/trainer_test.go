@@ -72,97 +72,3 @@ func TestTrainSeqDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 }
-
-// TestResumeMidTrainingBitIdentical pins checkpoint save → resume: training
-// k epochs, saving the trainer state through the checkpoint header path,
-// reloading and finishing with a DIFFERENT worker count must produce the
-// same final weights, byte for byte, as an uninterrupted run.
-func TestResumeMidTrainingBitIdentical(t *testing.T) {
-	tr, _ := corpusSplit(t)
-	for _, tc := range []struct {
-		name string
-		prep func(o *Options)
-	}{
-		{"plain", func(o *Options) { o.Epochs = 4 }},
-		{"early-stopping", func(o *Options) {
-			o.Epochs = 5
-			o.ValFrac = 0.2
-			o.Patience = 2
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := tinyOpts()
-			tc.prep(&opts)
-
-			// Uninterrupted reference run (1 worker).
-			opts.Workers = 1
-			refSet := PrepareGraphs(tr, opts.Graph, nil, ParallelLabel)
-			ref := TrainHGT(refSet, opts)
-
-			// Interrupted run: 2 epochs, checkpoint with state, resume with
-			// 4 workers.
-			set := PrepareGraphs(tr, opts.Graph, nil, ParallelLabel)
-			trainer := NewHGTTrainer(set, opts)
-			for i := 0; i < 2 && !trainer.Done(); i++ {
-				trainer.RunEpoch()
-			}
-			path := t.TempDir() + "/mid.ckpt"
-			if err := SaveCheckpointState(path, trainer.Model, set.Vocab, opts.Graph, trainer.State()); err != nil {
-				t.Fatal(err)
-			}
-
-			model, vocab, gopts, st, err := LoadCheckpointFull(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st == nil {
-				t.Fatal("checkpoint lost its training state")
-			}
-			if vocab.NumKinds() != set.Vocab.NumKinds() {
-				t.Fatal("checkpoint lost the vocabulary")
-			}
-			resumedSet := PrepareGraphs(tr, gopts, vocab, ParallelLabel)
-			resumeOpts := opts
-			resumeOpts.Workers = 4
-			resumed := ResumeHGTTrainer(model, resumedSet, resumeOpts, st)
-			if resumed.Epoch() != 2 && !resumed.Done() {
-				t.Fatalf("resumed at epoch %d, want 2", resumed.Epoch())
-			}
-			for !resumed.Done() {
-				resumed.RunEpoch()
-			}
-			final := resumed.Finish()
-
-			refParams := ref.Params.All()
-			for i, p := range final.Params.All() {
-				for j, v := range p.W.Data {
-					if v != refParams[i].W.Data[j] {
-						t.Fatalf("param %s weight[%d] differs after resume: %v vs %v",
-							p.Name, j, v, refParams[i].W.Data[j])
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestPlainCheckpointHasNoTrainState keeps the default save path lean: a
-// final checkpoint must not embed trainer state.
-func TestPlainCheckpointHasNoTrainState(t *testing.T) {
-	tr, _ := corpusSplit(t)
-	opts := tinyOpts()
-	opts.Epochs = 1
-	set := PrepareGraphs(tr, opts.Graph, nil, ParallelLabel)
-	model := TrainHGT(set, opts)
-	path := t.TempDir() + "/plain.ckpt"
-	if err := SaveCheckpoint(path, model, set.Vocab, opts.Graph); err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, st, err := LoadCheckpointFull(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != nil {
-		t.Fatal("plain checkpoint unexpectedly carries training state")
-	}
-}

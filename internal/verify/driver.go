@@ -7,9 +7,10 @@ import (
 	"graph2par/internal/pragma"
 )
 
-// Check is one analyzer of the suite: a name (for -only selection and the
-// Finding.Check field), a one-line doc, and the pass function. Checks
-// only ever APPEND findings; they never mutate the shared facts.
+// Check is one analyzer of the suite: a name (listed by the CLIs' -list
+// and carried in the Finding.Check field), a one-line doc, and the pass
+// function. Checks only ever APPEND findings; they never mutate the
+// shared facts.
 type Check struct {
 	Name string
 	Doc  string

@@ -24,11 +24,6 @@ type LoopVerdict struct {
 // VerifyFile verifies every for/while loop of a parsed translation unit
 // (the same loop set the engine analyzes), sorted by source line.
 func VerifyFile(file *cast.File) []LoopVerdict {
-	return VerifyFileWith(file, Checks())
-}
-
-// VerifyFileWith is VerifyFile restricted to a chosen check subset.
-func VerifyFileWith(file *cast.File, checks []*Check) []LoopVerdict {
 	var out []LoopVerdict
 	for _, l := range file.Loops() {
 		var prag string
@@ -43,7 +38,7 @@ func VerifyFileWith(file *cast.File, checks []*Check) []LoopVerdict {
 			Func:    l.Fn.Name,
 			Kind:    l.Loop.Kind(),
 			Pragma:  strings.TrimSpace(prag),
-			Verdict: VerifyWith(Request{Loop: l.Loop, File: file, Fn: l.Fn, Pragma: prag}, checks),
+			Verdict: Verify(Request{Loop: l.Loop, File: file, Fn: l.Fn, Pragma: prag}),
 		})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Line < out[j].Line })

@@ -24,12 +24,6 @@ func FuzzVerify(f *testing.F) {
 	f.Add(`int g(int x) { return g(x - 1); } void f(int n, int a[]) { for (int i = 0; i < n; i++) a[i] = g(i); }`)
 	f.Add(`#pragma omp parallel for private(q) ordered`)
 	f.Add(`int f(int n, int a[], int t) { int s = 0; for (int i = 0; i < n; i++) { if (a[i]) t = a[i]; a[i] = t; s += t; { int u = s; a[i] += u; } } return s; }`)
-	var clauses []*verify.Check
-	for _, c := range verify.Checks() {
-		if c.Name == "clauses" {
-			clauses = append(clauses, c)
-		}
-	}
 	f.Fuzz(func(t *testing.T, src string) {
 		vs, err := verify.VerifySource(src)
 		if err != nil {
@@ -66,9 +60,11 @@ func FuzzVerify(f *testing.F) {
 			}
 			cp := rewrite.DeriveClauses(loop)
 			prag := cp.Render()
-			v := verify.VerifyWith(verify.Request{Loop: loop, File: file, Fn: l.Fn, Pragma: prag}, clauses)
-			if len(v.Findings) > 0 {
-				t.Fatalf("derived %q draws %+v in %q", prag, v.Findings, src)
+			v := verify.Verify(verify.Request{Loop: loop, File: file, Fn: l.Fn, Pragma: prag})
+			for _, fd := range v.Findings {
+				if fd.Check == "clauses" {
+					t.Fatalf("derived %q draws %+v in %q", prag, fd, src)
+				}
 			}
 		}
 	})

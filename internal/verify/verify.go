@@ -134,13 +134,8 @@ type Request struct {
 // Verify runs the full check suite over one request. The result is a pure
 // function of the request: byte-identical across runs and worker counts.
 func Verify(req Request) Verdict {
-	return VerifyWith(req, Checks())
-}
-
-// VerifyWith runs a chosen subset of checks (the CLI's -only flag).
-func VerifyWith(req Request, checks []*Check) Verdict {
 	p := newPass(req)
-	for _, c := range checks {
+	for _, c := range Checks() {
 		c.Run(p)
 	}
 	return p.verdict()

@@ -323,32 +323,6 @@ void f(int n, double a[]) {
 	expect(t, v, Unsafe, "escapes into a function call")
 }
 
-func TestVerifyWithSubset(t *testing.T) {
-	src := `
-void f(int n, double a[]) {
-    for (int i = 0; i < n; i++) {
-        printf("%f", a[i]);
-    }
-}`
-	file, err := cparse.ParseFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var structureOnly []*Check
-	for _, c := range Checks() {
-		if c.Name == "structure" {
-			structureOnly = append(structureOnly, c)
-		}
-	}
-	vs := VerifyFileWith(file, structureOnly)
-	if len(vs) != 1 || vs[0].Verdict.Level != Safe {
-		t.Fatalf("structure-only pass should be clean, got %+v", vs)
-	}
-	if full := VerifyFile(file); full[0].Verdict.Level != Unsafe {
-		t.Fatalf("full suite should flag printf, got %+v", full[0].Verdict)
-	}
-}
-
 func TestLevelEncoding(t *testing.T) {
 	for _, l := range []Level{Safe, Unknown, Unsafe} {
 		b, err := json.Marshal(l)

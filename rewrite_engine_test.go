@@ -55,13 +55,10 @@ func TestEngineRewriteStage(t *testing.T) {
 	}
 }
 
-// TestSuggestionIsRewritePragma: the engine suggests the rewriter's
-// derived directive, so with the rewrite stage on, every predicted-
-// parallel for-loop suggests exactly its plan's pragma — except a
-// rewritten-atomic plan, whose rescue derives a new one on a clone. The
-// files are the generator's at the default scale and two seeds (-short,
-// which CI runs under the race detector: a quarter scale, one seed).
-func TestSuggestionIsRewritePragma(t *testing.T) {
+// suggestionCorpus returns the generator's files at the default scale
+// and two seeds (-short, which CI runs under the race detector: a quarter
+// scale, one seed).
+func suggestionCorpus() map[string]string {
 	seeds, scale := []uint64{20, 1234}, 0.02
 	if testing.Short() {
 		seeds, scale = seeds[:1], 0.005
@@ -74,6 +71,15 @@ func TestSuggestionIsRewritePragma(t *testing.T) {
 			}
 		}
 	}
+	return files
+}
+
+// TestSuggestionIsRewritePragma: the engine suggests the rewriter's
+// derived directive, so with the rewrite stage on, every predicted-
+// parallel for-loop suggests exactly its plan's pragma — except a
+// rewritten-atomic plan, whose rescue derives a new one on a clone.
+func TestSuggestionIsRewritePragma(t *testing.T) {
+	files := suggestionCorpus()
 	out, err := engineWith(t, EngineConfig{Rewrite: true}).AnalyzeFiles(files)
 	if err != nil {
 		t.Fatal(err)
@@ -94,6 +100,56 @@ func TestSuggestionIsRewritePragma(t *testing.T) {
 		t.Skip("model predicted no for-loop parallel; nothing to compare")
 	}
 	t.Logf("%d predicted-parallel for-loops compared over %d files", checked, len(files))
+}
+
+// whileProgram sums an array in a while loop. The loop has no induction
+// variable, so a parallel-for directive on it would make its counter a
+// reduction variable.
+const whileProgram = `
+int main() {
+    int a[64];
+    int i = 0, s = 0;
+    for (i = 0; i < 64; i++) a[i] = i;
+    i = 0;
+    while (i < 64) { s += a[i]; i = i + 1; }
+    return s;
+}
+`
+
+// TestWhileLoopGetsNoSuggestion: a while loop takes no worksharing
+// directive, so even predicted parallel it gets no suggestion and no
+// categories, while the verify stage still rules on the loop itself
+// (Unsafe: only a canonical for loop can be workshared).
+func TestWhileLoopGetsNoSuggestion(t *testing.T) {
+	files := suggestionCorpus()
+	files["while.c"] = whileProgram
+	out, err := engineWith(t, EngineConfig{Verify: true}).AnalyzeFiles(files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whiles, parallel := 0, 0
+	for name, reports := range out {
+		for _, r := range reports {
+			if !strings.HasPrefix(r.Source, "while") {
+				continue
+			}
+			whiles++
+			if r.Suggestion != "" || r.Categories != nil {
+				t.Errorf("%s line %d: while loop suggests %q (categories %v)", name, r.Line, r.Suggestion, r.Categories)
+			}
+			if !r.Parallel {
+				continue
+			}
+			parallel++
+			if r.Verdict == nil || r.Verdict.Level != verify.Unsafe {
+				t.Errorf("%s line %d: predicted-parallel while loop has verdict %+v, want unsafe", name, r.Line, r.Verdict)
+			}
+		}
+	}
+	if whiles == 0 {
+		t.Fatal("no while loop analyzed")
+	}
+	t.Logf("%d while loops, %d predicted parallel, over %d files", whiles, parallel, len(files))
 }
 
 func TestEngineRewriteSource(t *testing.T) {
